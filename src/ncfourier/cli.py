@@ -4,7 +4,8 @@ Subcommands dispatch to the computational modules and write CSV or JSON
 results plus a human-readable pass/fail line per check.  Exit codes: 0 all
 checks passed, 1 at least one check failed, 2 usage error.  Config
 precedence: command-line flags override config-file entries override
-defaults; all resolved values are echoed into the output metadata, and reruns
+defaults; each config entry ``key=value`` is parsed as the option
+``--key=value`` of the subcommand, so argparse checks it like a flag.  Reruns
 with identical argv produce bit-identical outputs.
 """
 
@@ -37,6 +38,7 @@ from .restriction import (
     gram_matrix,
     lattice_maps_report,
     periodization_residual,
+    quotient_group,
     restriction_consistency,
 )
 from .transference import bump_element, hertz_schur_transference_residual
@@ -44,18 +46,27 @@ from .transference import bump_element, hertz_schur_transference_residual
 USAGE_ERROR = 2
 
 
-def _load_config(path: str | None) -> dict[str, str]:
-    if not path:
-        return {}
-    values = {}
+def _config_tokens(path: str) -> list[str]:
+    """``--key=value`` tokens for the entries of a flat ``key=value`` file;
+    ``_`` in a key reads as ``-``, so ``F_count`` and ``F-count`` both name
+    ``--F-count``."""
+    tokens = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-    return values
+            key, sep, val = line.partition("=")
+            if not sep or not key.strip():
+                raise ValueError(f"{path}:{number}: expected key=value, got {line!r}")
+            tokens.append(f"--{key.strip().replace('_', '-')}={val.strip()}")
+    return tokens
+
+
+def _on_off(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise argparse.ArgumentTypeError(f"expected true or false, got {text!r}")
+    return text == "true"
 
 
 def _write_json(path: str | None, payload: dict) -> None:
@@ -165,8 +176,6 @@ def cmd_restrict(args) -> int:
 def cmd_periodize(args) -> int:
     group = build_group(args.group)
     H = parse_subset(group, args.normal_subgroup)
-    from .restriction import quotient_group
-
     quotient, _, _ = quotient_group(group, H)
     m_q = _symbol_from_flag(quotient, args.symbol, args.n)
     rng = np.random.default_rng(args.seed)
@@ -338,52 +347,45 @@ def cmd_transference(args) -> int:
     return 0 if ok else 1
 
 
+# suite members as command lines; {samples} is the suite's --samples budget and
+# {mc_samples} the same budget raised to at least 10^6 for delta-mc
+SUITES = {
+    "lemmas": [
+        ("lemmas", "identity-check --group dihedral:3 --kind all --n 2 --trials 25 --seed 7"),
+        ("periodize", "periodize --group cyclic:4 --normal-subgroup indices:0,2 "
+                      "--symbol random:3 --n 1 --trials 10 --seed 7"),
+        ("lattice-maps", "lattice-maps --group cyclic:64 --stride 8 --symbol gaussian:8.0 "
+                         "--n 1 --trials 5 --seed 7"),
+    ],
+    "restriction": [
+        ("restrict", "restrict --embedding cyclic-in-cyclic:2,4 --symbol random:5 --p 4.0 "
+                     "--restarts 200 --seed 7"),
+        ("delta-exact", "delta-exact --group dihedral:6 --F indices:6 --V indices:0,1,5,11 --gram"),
+        ("transference", "transference --L 256 --alpha 8,16,32 --support 4 --width 1.5 "
+                         "--p1 2.0 --p2 2.0 --seed 7"),
+    ],
+    "scaling": [
+        ("orbit-dim", "orbit-dim --model sl:2 --sweep 300 --seed 7"),
+        ("density", "density --model sl:2 --coords 1.0,0,0 --series-terms 24"),
+        ("key-lemma", "key-lemma --rho 2.0 --R 0.5 --eps 0.1,0.05,0.025 --samples {samples} "
+                      "--seed 42 --batch 0"),
+        ("lattice-count", "lattice-count --radii 100,250,500,1000,2500"),
+        ("delta-mc", "delta-mc --model sl:2 --rho 2.0 --F-count 3 --W tube:0.05,0.5 "
+                     "--samples {mc_samples} --seed 11 --batch 0"),
+    ],
+}
+
+
 def cmd_suite(args) -> int:
-    failures = 0
     name = args.name
-    results: list[tuple[str, bool]] = []
-
-    def run(label, code):
-        nonlocal failures
-        results.append((label, code == 0))
-        if code != 0:
-            failures += 1
-
+    members = [row for key, rows in SUITES.items() if name in (key, "all") for row in rows]
     print(f"== suite {name} ==")
-    if name in ("lemmas", "all"):
-        ns = argparse.Namespace(group="dihedral:3", kind="all", n=2, trials=25,
-                                seed=7, out=None)
-        run("lemmas", cmd_identity_check(ns))
-        ns = argparse.Namespace(group="cyclic:4", normal_subgroup="indices:0,2",
-                                symbol="random:3", n=1, trials=10, seed=7, out=None)
-        run("periodize", cmd_periodize(ns))
-        ns = argparse.Namespace(group="cyclic:64", stride=8, symbol="gaussian:8.0",
-                                n=1, trials=5, seed=7, out=None)
-        run("lattice-maps", cmd_lattice_maps(ns))
-    if name in ("restriction", "all"):
-        ns = argparse.Namespace(embedding="cyclic-in-cyclic:2,4", symbol="random:5",
-                                p=4.0, restarts=200, seed=7, out=None)
-        run("restrict", cmd_restrict(ns))
-        ns = argparse.Namespace(group="dihedral:6", F="indices:6", V="indices:0,1,5,11",
-                                gram=True, out=None)
-        run("delta-exact", cmd_delta_exact(ns))
-        ns = argparse.Namespace(L=256, alpha="8,16,32", support=4, width=1.5,
-                                p1=2.0, p2=2.0, seed=7, out=None)
-        run("transference", cmd_transference(ns))
-    if name in ("scaling", "all"):
-        ns = argparse.Namespace(model="sl:2", seed=7, sweep=300, out=None)
-        run("orbit-dim", cmd_orbit_dim(ns))
-        ns = argparse.Namespace(model="sl:2", coords="1.0,0,0", series_terms=24, out=None)
-        run("density", cmd_density(ns))
-        ns = argparse.Namespace(rho=2.0, R=0.5, eps="0.1,0.05,0.025",
-                                samples=args.samples, seed=42, batch=0, out=None)
-        run("key-lemma", cmd_key_lemma(ns))
-        ns = argparse.Namespace(radii="100,250,500,1000,2500", out=None)
-        run("lattice-count", cmd_lattice_count(ns))
-        ns = argparse.Namespace(group=None, model="sl:2", rho=2.0, F_count=3,
-                                W="tube:0.05,0.5", samples=max(args.samples, 10 ** 6),
-                                seed=11, batch=0, out=None, F=None, V=None)
-        run("delta-mc", cmd_delta_mc(ns))
+    results = [
+        (label, main(line.format(samples=args.samples,
+                                 mc_samples=max(args.samples, 10 ** 6)).split()) == 0)
+        for label, line in members
+    ]
+    failures = sum(1 for _, passed in results if not passed)
     width = max(len(label) for label, _ in results)
     print(f"== suite {name} summary ==")
     for label, passed in results:
@@ -401,7 +403,8 @@ def make_parser() -> argparse.ArgumentParser:
         description="Exact and Monte Carlo computations for Fourier multipliers "
         "on finite groups and their Lie-geometric scaling checks.",
     )
-    parser.add_argument("--config", help="flat key=value config file", default=None)
+    parser.add_argument("--config", default=None,
+                        help="flat key=value file; each entry reads as the option --key=value")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("group", help="build a group and dump it as JSON")
@@ -463,7 +466,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True)
     p.add_argument("--F", required=True)
     p.add_argument("--V", required=True)
-    p.add_argument("--gram", action="store_true", help="also check the overlap Gram bound")
+    p.add_argument("--gram", nargs="?", const=True, default=False, type=_on_off,
+                   metavar="true|false", help="also check the overlap Gram bound")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_delta_exact)
 
@@ -530,26 +534,24 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            try:
+                tokens = _config_tokens(args.config)
+            except (ValueError, OSError) as exc:
+                parser.error(f"--config: {exc}")
+            # the entries go right after the command name, so explicit flags
+            # still win; before the name stand only root options, which all
+            # take a value (--config PATH or --config=PATH)
+            at = 0
+            while argv[at].startswith("-"):
+                at += 1 if "=" in argv[at] else 2
+            args = parser.parse_args(argv[: at + 1] + tokens + argv[at + 1 :])
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    config = _load_config(args.config)
-    # config fills any argument whose flag was not given (left at its default);
-    # subcommand defaults live on the subparser, not the root parser
-    subparser = None
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            subparser = action.choices.get(args.command)
-    for key, val in config.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and subparser is not None:
-            default = subparser.get_default(attr)
-            current = getattr(args, attr)
-            if current == default:
-                kind = type(default) if default is not None else str
-                setattr(args, attr, kind(val) if default is not None else val)
     try:
         return args.func(args)
     except PreconditionError as exc:

@@ -29,7 +29,6 @@ __all__ = [
     "involution",
     "regular_matrix",
     "conjugate_set",
-    "delta",
     "random_element",
 ]
 
@@ -89,9 +88,6 @@ class FiniteGroup:
             xs, ys, zs = rng.integers(0, n, size=(3, 20000))
             if not np.array_equal(mul[mul[xs, ys], zs], mul[xs, mul[ys, zs]]):
                 raise GroupError("associativity fails on sampled triples")
-
-    def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.mul, self.mul.T))
 
     def delta_element(self, s: int) -> "AlgebraElement":
         """Point mass at element s."""
@@ -265,8 +261,10 @@ def conjugate_set(s: int, subset: GroupSubset) -> GroupSubset:
     return grp.subset(int(grp.mul[grp.mul[s, v], si]) for v in subset.members)
 
 
-def delta(group: FiniteGroup, s: int) -> AlgebraElement:
-    return group.delta_element(s)
+def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Standard complex Gaussian array: the real parts are drawn first, then
+    the imaginary parts, so every random input in the package draws alike."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def random_element(
@@ -275,7 +273,7 @@ def random_element(
     """Standard complex Gaussian coefficients, optionally restricted to a support."""
     coeffs = np.zeros(group.order, dtype=complex)
     idx = np.arange(group.order) if support is None else np.asarray(support)
-    coeffs[idx] = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
+    coeffs[idx] = complex_normal(rng, len(idx))
     return AlgebraElement(group, coeffs)
 
 
@@ -348,14 +346,23 @@ def build_group(spec: str) -> FiniteGroup:
     Grammar: ``cyclic:N``, ``dihedral:N``, ``heisenberg:N``, or
     ``product:<desc>,<desc>`` (products nest).
     """
-    tokens = [t for t in re.split(r"[:,]", spec.strip()) if t]
-    group, rest = _parse_tokens(tokens)
+    (group,) = _parse_groups(spec, 1)
+    return group
+
+
+def _parse_groups(spec: str, count: int) -> list[FiniteGroup]:
+    """Parse ``count`` consecutive descriptors from ``spec`` and validate each."""
+    rest = [t for t in re.split(r"[:,]", spec.strip()) if t]
+    groups = []
+    for _ in range(count):
+        group, rest = _parse_tokens(rest)
+        if group.order > MAX_ORDER:
+            raise GroupError(f"group order {group.order} exceeds cap {MAX_ORDER}")
+        group.validate()
+        groups.append(group)
     if rest:
         raise GroupError(f"trailing tokens in group descriptor: {rest}")
-    if group.order > MAX_ORDER:
-        raise GroupError(f"group order {group.order} exceeds cap {MAX_ORDER}")
-    group.validate()
-    return group
+    return groups
 
 
 def _parse_tokens(tokens: list[str]) -> tuple[FiniteGroup, list[str]]:
@@ -476,33 +483,11 @@ def build_embedding(spec: str) -> SubgroupEmbedding:
             np.arange(n),  # (0,0,c) encodes to c
         )
     if kind in ("factor1-in-product", "factor2-in-product"):
-        amb = build_group(f"product:{rest}")
-        d1, d2 = _split_product_rest(rest)
-        g1, g2 = build_group(d1), build_group(d2)
+        g1, g2 = _parse_groups(rest, 2)
+        amb = _product(g1, g2)
+        amb.validate()
         if kind == "factor1-in-product":
             return SubgroupEmbedding(g1, amb, np.arange(g1.order) * g2.order)
         return SubgroupEmbedding(g2, amb, np.arange(g2.order))
     raise GroupError(f"unknown embedding spec {spec!r}")
 
-
-def _split_product_rest(rest: str) -> tuple[str, str]:
-    tokens = [t for t in re.split(r"[:,]", rest) if t]
-    _, after_first = _parse_tokens(tokens)
-    n_first = len(tokens) - len(after_first)
-    first = tokens[:n_first]
-    return _tokens_to_desc(first), _tokens_to_desc(after_first)
-
-
-def _tokens_to_desc(tokens: list[str]) -> str:
-    out = []
-    i = 0
-    while i < len(tokens):
-        if tokens[i] == "product":
-            out.append("product:")
-            i += 1
-        else:
-            out.append(f"{tokens[i]}:{tokens[i + 1]}")
-            i += 2
-            if i < len(tokens):
-                out.append(",")
-    return "".join(out)

@@ -363,9 +363,7 @@ def sl2_orbit_min_norm(mat: np.ndarray) -> float:
     return math.sqrt(2.0 * abs(np.linalg.det(mat)))
 
 
-def _norm_descent(
-    model: LieModel, mat: np.ndarray, iterations: int, rng
-) -> tuple[float, bool]:
+def _norm_descent(mat: np.ndarray, iterations: int) -> tuple[float, bool]:
     """Minimize ||g x g^{-1}||_F by a moment-map flow: step along
     xi = -(y y^T - y^T y) with Armijo backtracking.  Returns (value,
     converged); converged means the flow reached a critical point, stalled,
@@ -425,12 +423,12 @@ def orbit_min_norm(
         raise ValueError(f"unknown method {method!r}")
     rng = rng or np.random.default_rng(0)
     n = model.n
-    best, any_converged = _norm_descent(model, mat, iterations, rng)
+    best, any_converged = _norm_descent(mat, iterations)
     for _ in range(starts - 1):
         p = rng.standard_normal((n, n))
         p = 0.4 * (p - np.trace(p) / n * np.eye(n))
         g = _expm(p)
-        val, conv = _norm_descent(model, g @ mat @ np.linalg.inv(g), iterations, rng)
+        val, conv = _norm_descent(g @ mat @ np.linalg.inv(g), iterations)
         best = min(best, val)
         any_converged = any_converged or conv
     if not any_converged:

@@ -2,8 +2,9 @@
 SL(2,Z) lattice-point counting with growth-exponent fitting.
 
 Sampling is batched and deterministically seeded: batch b of a run with seed
-s draws from default_rng([s, b]), so results are independent of scheduling
-and bit-identical across reruns.  The sl(2) paths (matrix exp/log, tube
+s draws from default_rng([s, b]), so results are bit-identical across reruns
+with the same seed, sample count and batch size (a different batch size
+draws different points).  The sl(2) paths (matrix exp/log, tube
 membership, Haar density) are closed-form and fully vectorized; other models
 fall back to scipy per-sample routines.
 """
@@ -57,9 +58,6 @@ class McEstimate:
     samples: int
     seed: int
     hits: int
-
-    def csv_row(self) -> list:
-        return [repr(self.mean), repr(self.stderr), self.samples, self.seed, self.hits]
 
 
 @dataclass

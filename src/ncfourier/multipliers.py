@@ -22,12 +22,14 @@ from .groups import (
     FiniteGroup,
     GroupError,
     SubgroupEmbedding,
+    complex_normal,
     convolve,
     parse_subset,
+    random_element,
     regular_matrix,
     same_group,
 )
-from .nclp import lp_norm, matrix_lp_norm
+from .nclp import exponent_tuple, lp_norm, matrix_lp_norm
 
 __all__ = [
     "Symbol",
@@ -197,13 +199,15 @@ def estimate_norm(
     """Estimate ||T_m: L_{p_1} x ... x L_{p_n} -> L_p|| from below.
 
     Multi-start projected gradient ascent over the coefficient vectors,
-    deterministic given ``cfg.seed``.  The linear p = p_1 = 2 case returns
-    max|m| exactly with a point-mass witness.  p or p_i equal to 1 are
-    optimized at the smoothing exponent 1 + 1e-6 (final ratios are evaluated
-    at the true exponents, so the reported value stays a valid lower bound;
-    the smoothing only steers the search).
+    deterministic given ``cfg.seed``.  The tuple of point masses at argmax|m|
+    is scored first: its ratio is sup|m| at every exponent, because lambda(s)
+    is unitary, so the estimate never falls below sup|m|.  The linear
+    p = p_1 = 2 case returns that candidate, which is exact there.  p or p_i
+    equal to 1 are optimized at the smoothing exponent 1 + 1e-6 (final ratios
+    are evaluated at the true exponents, so the reported value stays a valid
+    lower bound; the smoothing only steers the search).
     """
-    ps = tuple(float(q) for q in (ps if isinstance(ps, (tuple, list)) else [ps]))
+    ps = exponent_tuple(ps)
     p = float(p)
     if len(ps) != m.arity:
         raise ValueError("exponent tuple length must match symbol arity")
@@ -211,14 +215,13 @@ def estimate_norm(
         raise ValueError("optimizer handles finite exponents >= 1 only")
 
     group, n, N = m.parent, m.arity, m.parent.order
+    mags = np.abs(m.values)
+    peak = np.unravel_index(int(np.argmax(mags)), mags.shape)
+    best_witness = [group.delta_element(int(s)).coeffs for s in peak]
 
     if n == 1 and p == 2.0 and ps[0] == 2.0:
-        flat = np.abs(m.values)
-        best = int(np.argmax(flat))
-        wit = np.zeros(N, dtype=complex)
-        wit[best] = 1.0
         return NormEstimate(
-            value=float(flat[best]), witness=[wit], restarts=0, iterations=0,
+            value=float(mags[peak]), witness=best_witness, restarts=0, iterations=0,
             converged=True, seed=cfg.seed, p=p, ps=ps,
         )
 
@@ -257,8 +260,7 @@ def estimate_norm(
                 grads.append(np.sum(weight, axis=axes))
         return value, grads
 
-    best_value = -1.0
-    best_witness: list[np.ndarray] | None = None
+    best_value = evaluate_ratio(m, best_witness, ps, p)
     total_iter = 0
     converged_any = False
 
@@ -267,9 +269,7 @@ def estimate_norm(
         starts.append((-len(warm_starts or []) + w_idx, [np.asarray(c, dtype=complex) for c in w]))
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, r])
-        starts.append(
-            (r, [rng.standard_normal(N) + 1j * rng.standard_normal(N) for _ in range(n)])
-        )
+        starts.append((r, [random_element(group, rng).coeffs for _ in range(n)]))
 
     for r_idx, fs in starts:
         fs = [_normalize(group, f, q) for f, q in zip(fs, ps_opt)]
@@ -296,10 +296,7 @@ def estimate_norm(
                 proposal.append(cand)
             if degenerate:
                 # repeated singular values flatten the subgradient; nudge
-                proposal = [
-                    f + 1e-9 * (rng.standard_normal(N) + 1j * rng.standard_normal(N))
-                    for f in proposal
-                ]
+                proposal = [f + 1e-9 * random_element(group, rng).coeffs for f in proposal]
             proposal = [_normalize(group, f, q) for f, q in zip(proposal, ps_opt)]
             if any(f is None for f in proposal):
                 break
@@ -322,10 +319,6 @@ def estimate_norm(
             best_value = true_value
             best_witness = [f.copy() for f in fs]
 
-    if best_witness is None:  # all starts degenerate: zero symbol
-        best_witness = [np.zeros(N, dtype=complex) for _ in range(n)]
-        best_witness[0][group.identity] = 1.0
-        best_value = evaluate_ratio(m, best_witness, ps, p)
     return NormEstimate(
         value=best_value,
         witness=best_witness,
@@ -390,13 +383,7 @@ def consummation_residual(
     bounds = indices + [n + 1]
     worst = 0.0
     for _ in range(trials):
-        xs = [
-            AlgebraElement(
-                group,
-                rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order),
-            )
-            for _ in range(n)
-        ]
+        xs = [random_element(group, rng) for _ in range(n)]
         lhs = apply_multiplier(m_tilde, *xs)
         grouped = []
         for j in range(m.arity):
@@ -423,19 +410,26 @@ def translate_symbol(m: Symbol, i: int, r: int, t: int, rp: int) -> Symbol:
     return Symbol(group, n, m.values[np.ix_(*maps)] if n > 1 else m.values[maps[0]])
 
 
-def translated_apply(
-    m: Symbol, xs: list[AlgebraElement], r: int, t: int, rp: int, i: int
-) -> AlgebraElement:
-    """lambda(r)* T_m(lambda(r)x_1, ..., x_i lambda(t), lambda(t)* x_{i+1}, ..., x_n lambda(r')) lambda(r')*."""
-    group = m.parent
-    n = m.arity
-    mod = [x.copy() for x in xs]
+def _translated_inputs(
+    group: FiniteGroup, xs: list[AlgebraElement], r: int, t: int, rp: int, i: int
+) -> list[AlgebraElement]:
+    """lambda(r)x_1, ..., x_i lambda(t), lambda(t)* x_{i+1}, ..., x_n lambda(r')."""
+    n = len(xs)
+    mod = list(xs)
     mod[0] = convolve(group.delta_element(r), mod[0])
     if n > 1:
         mod[i - 1] = convolve(mod[i - 1], group.delta_element(t))
         mod[i] = convolve(group.delta_element(int(group.inv[t])), mod[i])
     mod[n - 1] = convolve(mod[n - 1], group.delta_element(rp))
-    out = apply_multiplier(m, *mod)
+    return mod
+
+
+def translated_apply(
+    m: Symbol, xs: list[AlgebraElement], r: int, t: int, rp: int, i: int
+) -> AlgebraElement:
+    """lambda(r)* T_m(lambda(r)x_1, ..., x_i lambda(t), lambda(t)* x_{i+1}, ..., x_n lambda(r')) lambda(r')*."""
+    group = m.parent
+    out = apply_multiplier(m, *_translated_inputs(group, xs, r, t, rp, i))
     out = convolve(group.delta_element(int(group.inv[r])), out)
     return convolve(out, group.delta_element(int(group.inv[rp])))
 
@@ -448,13 +442,7 @@ def translation_residual(
     m_tilde = translate_symbol(m, i, r, t, rp)
     worst = 0.0
     for _ in range(trials):
-        xs = [
-            AlgebraElement(
-                group,
-                rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order),
-            )
-            for _ in range(n)
-        ]
+        xs = [random_element(group, rng) for _ in range(n)]
         lhs = apply_multiplier(m_tilde, *xs)
         rhs = translated_apply(m, xs, r, t, rp, i)
         worst = max(worst, lp_norm(lhs - rhs, 2.0))
@@ -469,17 +457,12 @@ def translation_norm_invariance(
     Witness transport is exact (multiplication by lambda(s) is a p-isometry),
     so the two numbers agree to float noise regardless of optimizer quality.
     """
-    group, n = m.parent, m.arity
+    group = m.parent
     m_tilde = translate_symbol(m, i, r, t, rp)
     est = estimate_norm(m_tilde, ps, p, cfg)
-    moved = [AlgebraElement(group, w) for w in est.witness]
-    mod = [x.copy() for x in moved]
-    mod[0] = convolve(group.delta_element(r), mod[0])
-    if n > 1:
-        mod[i - 1] = convolve(mod[i - 1], group.delta_element(t))
-        mod[i] = convolve(group.delta_element(int(group.inv[t])), mod[i])
-    mod[n - 1] = convolve(mod[n - 1], group.delta_element(rp))
-    ratio = evaluate_ratio(m, [x.coeffs for x in mod], tuple(ps), p)
+    witness = [AlgebraElement(group, w) for w in est.witness]
+    moved = _translated_inputs(group, witness, r, t, rp, i)
+    ratio = evaluate_ratio(m, [x.coeffs for x in moved], est.ps, p)
     return abs(ratio - est.value)
 
 
@@ -521,13 +504,7 @@ def nested_residual(ms: list[Symbol], trials: int, rng: np.random.Generator) -> 
     m_tilde = nested_symbol(ms)
     worst = 0.0
     for _ in range(trials):
-        xs = [
-            AlgebraElement(
-                group,
-                rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order),
-            )
-            for _ in range(len(ms))
-        ]
+        xs = [random_element(group, rng) for _ in range(len(ms))]
         lhs = apply_multiplier(m_tilde, *xs)
         rhs = nested_apply(ms, xs)
         worst = max(worst, lp_norm(lhs - rhs, 2.0))
@@ -561,7 +538,7 @@ def symbol_from_spec(group: FiniteGroup, spec: str, arity: int = 1) -> Symbol:
     if kind == "random":
         rng = np.random.default_rng(int(rest))
         shape = (N,) * arity
-        return Symbol(group, arity, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        return Symbol(group, arity, complex_normal(rng, shape))
     raise ValueError(f"unknown symbol spec {spec!r}")
 
 

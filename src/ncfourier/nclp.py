@@ -38,6 +38,11 @@ def conjugate_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
+def exponent_tuple(ps) -> tuple[float, ...]:
+    """Exponents as a tuple of floats; a single number means one exponent."""
+    return tuple(float(q) for q in (ps if isinstance(ps, (tuple, list)) else [ps]))
+
+
 def plancherel_trace(f: AlgebraElement) -> complex:
     """tau(lambda(f)) = f(identity)."""
     return complex(f.coeffs[f.parent.identity])
@@ -94,9 +99,6 @@ class PolarPair:
         nz = w > 1e-13 * max(w.max(initial=0.0), 1.0)
         powered[nz] = w[nz] ** exponent
         return (self.eigvecs * powered) @ self.eigvecs.conj().T
-
-    def k_matrix(self) -> np.ndarray:
-        return self.u @ self.h
 
 
 def polar_parts(subset: GroupSubset) -> PolarPair:

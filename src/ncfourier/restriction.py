@@ -36,7 +36,7 @@ from .multipliers import (
     evaluate_ratio,
     restrict_symbol,
 )
-from .nclp import lp_norm, matrix_lp_norm, plancherel_trace, polar_parts
+from .nclp import exponent_tuple, lp_norm, matrix_lp_norm, plancherel_trace, polar_parts
 
 __all__ = [
     "DeltaValue",
@@ -280,7 +280,7 @@ def restriction_consistency(
     reruns the ambient optimizer seeded with the transported witness and
     reports max(0, found_sub - found_amb).
     """
-    ps = tuple(float(q) for q in (ps if isinstance(ps, (tuple, list)) else [ps]))
+    ps = exponent_tuple(ps)
     m_sub = restrict_symbol(m, emb)
     est_sub = estimate_norm(m_sub, ps, p, cfg)
     transported = [emb.push(AlgebraElement(emb.sub, w)).coeffs for w in est_sub.witness]
@@ -363,7 +363,7 @@ def periodization_residual(
     Reports the max coefficient deviation of that identity over random inputs
     plus the worst p-isometry gap |  ||pi_p(x)||_p - ||x||_p  |.
     """
-    ps = tuple(float(q) for q in (ps if isinstance(ps, (tuple, list)) else [ps]))
+    ps = exponent_tuple(ps)
     quotient, coset_of, _ = quotient_group(group, H)
     if not same_group(m_q.parent, quotient):
         raise GroupError("symbol does not live on G/H")
@@ -450,7 +450,7 @@ def lattice_maps_report(
     <y, T_m(x_vec)>.  ``pairing_inputs`` optionally pins (xs, y) on the
     ambient group so deviations are comparable across refinements.
     """
-    ps = tuple(float(q) for q in (ps if isinstance(ps, (tuple, list)) else [ps]))
+    ps = exponent_tuple(ps)
     group, sub = emb.amb, emb.sub
     n = m.arity
     if len(ps) != n:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import AlgebraElement, FiniteGroup
+from .groups import AlgebraElement, FiniteGroup, regular_matrix
 from .multipliers import Symbol, apply_multiplier
 from .nclp import conjugate_exponent
 
@@ -36,13 +36,6 @@ __all__ = [
 def folner_window(L: int, alpha: int) -> np.ndarray:
     """Indices of F_alpha = {-alpha..alpha} mod L."""
     return np.array([k % L for k in range(-alpha, alpha + 1)], dtype=np.int64)
-
-
-def circulant(x: AlgebraElement) -> np.ndarray:
-    """Matrix of x in the regular representation of Z_L: entry (a,b) = x(a-b)."""
-    L = x.parent.order
-    a = np.arange(L)
-    return x.coeffs[(a[:, None] - a[None, :]) % L]
 
 
 def schur_bilinear(m: Symbol, y1: np.ndarray, y2: np.ndarray) -> np.ndarray:
@@ -62,7 +55,7 @@ def compress(x: AlgebraElement, alpha: int, p: float) -> np.ndarray:
     """j_{p,alpha}(x) = |F_alpha|^{-1/p} P_{F_alpha} x P_{F_alpha}."""
     L = x.parent.order
     window = folner_window(L, alpha)
-    mat = circulant(x)
+    mat = regular_matrix(x)  # on Z_L entry (a, b) is x(a - b)
     proj = np.zeros((L, L))
     proj[window, window] = 1.0
     scale = len(window) ** (-1.0 / p) if not math.isinf(p) else 1.0

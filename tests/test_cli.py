@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from ncfourier import cli
 from ncfourier.cli import main
 
 
@@ -136,5 +139,57 @@ def test_config_file_precedence(tmp_path):
     assert json.loads(out_flag.read_text())["seed"] == 1  # explicit flag wins
 
 
-def test_suite_lemmas():
+def test_suite_lemmas(capsys):
     assert run(["suite", "lemmas"]) == 0
+    first = capsys.readouterr().out
+    assert run(["suite", "lemmas"]) == 0  # reruns are bit-identical
+    assert capsys.readouterr().out == first
+
+
+DELTA_EXACT = ["delta-exact", "--group", "dihedral:6", "--F", "indices:6",
+               "--V", "indices:0,1,5,11"]
+
+
+@pytest.mark.parametrize("entry, gram_line", [("gram=false", False), ("gram=true", True)])
+def test_config_on_off_flag(tmp_path, capsys, entry, gram_line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(entry + "\n")
+    assert run(["--config", str(cfg)] + DELTA_EXACT) == 0
+    assert ("overlap Gram lower bound" in capsys.readouterr().out) is gram_line
+
+
+@pytest.mark.parametrize("entry", ["gram=yes", "gram=", "bogus=3", "func=x", "command=group",
+                                   "no separator"])
+def test_config_rejects_bad_entries(tmp_path, capsys, entry):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(entry + "\n")
+    assert run(["--config", str(cfg)] + DELTA_EXACT) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_config_bad_value_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("samples=1e6\n")
+    code = run(["--config", str(cfg), "delta-mc", "--group", "dihedral:6",
+                "--F", "indices:0,6", "--V", "indices:0,1,5,11"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "invalid int value: '1e6'" in err
+    assert "Traceback" not in err
+
+
+def test_config_missing_file_is_usage_error(tmp_path, capsys):
+    assert run(["--config", str(tmp_path / "absent.cfg")] + DELTA_EXACT) == 2
+    assert "absent.cfg" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["F_count", "F-count"])
+def test_config_key_spellings(tmp_path, monkeypatch, key):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_delta_mc", lambda args: seen.append(args.F_count) or 0)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}=2\n")
+    assert run(["--config", str(cfg), "delta-mc"]) == 0
+    assert run([f"--config={cfg}", "delta-mc", "--F-count", "5"]) == 0
+    assert seen == [2, 5]
+

@@ -180,17 +180,25 @@ def test_subset_parsing():
 
 
 def test_embeddings():
-    for spec, sub_order in [
-        ("cyclic-in-cyclic:2,8", 2),
-        ("rotations-in-dihedral:6", 6),
-        ("reflection-in-dihedral:5", 2),
-        ("center-in-heisenberg:3", 3),
-        ("factor1-in-product:cyclic:2,dihedral:3", 2),
-        ("factor2-in-product:cyclic:2,dihedral:3", 6),
-        ("trivial:dihedral:3", 6),
+    for spec, sub_order, sub_label, amb_label in [
+        ("cyclic-in-cyclic:2,8", 2, "cyclic:2", "cyclic:8"),
+        ("rotations-in-dihedral:6", 6, "cyclic:6", "dihedral:6"),
+        ("reflection-in-dihedral:5", 2, "cyclic:2", "dihedral:5"),
+        ("center-in-heisenberg:3", 3, "cyclic:3", "heisenberg:3"),
+        ("factor1-in-product:cyclic:2,dihedral:3", 2, "cyclic:2",
+         "product:cyclic:2,dihedral:3"),
+        ("factor2-in-product:cyclic:2,dihedral:3", 6, "dihedral:3",
+         "product:cyclic:2,dihedral:3"),
+        # nested products: the factor boundary falls after a whole product
+        ("factor1-in-product:product:cyclic:2,cyclic:3,dihedral:3", 6,
+         "product:cyclic:2,cyclic:3", "product:product:cyclic:2,cyclic:3,dihedral:3"),
+        ("factor2-in-product:dihedral:3,product:cyclic:2,heisenberg:2", 16,
+         "product:cyclic:2,heisenberg:2", "product:dihedral:3,product:cyclic:2,heisenberg:2"),
+        ("trivial:dihedral:3", 6, "dihedral:3", "dihedral:3"),
     ]:
         emb = build_embedding(spec)
         assert emb.sub.order == sub_order
+        assert (emb.sub.label, emb.amb.label) == (sub_label, amb_label)
         # homomorphism checked in the constructor; spot-check pushforward
         x = emb.sub.delta_element(emb.sub.order - 1)
         pushed = emb.push(x)

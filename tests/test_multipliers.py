@@ -144,6 +144,20 @@ def test_estimate_norm_warm_start_never_loses():
     assert seeded.value >= first.value - 1e-9
 
 
+@pytest.mark.parametrize("spec, arity, ps, p, sup", [
+    ("heisenberg:2", 1, (4.0,), 4.0, 2.4611),
+    ("dihedral:3", 2, (4.0, 4.0), 2.0, 2.5196),
+])
+def test_estimate_norm_never_below_point_masses(spec, arity, ps, p, sup):
+    # a tuple of point masses attains |m(s_1..s_n)| at every exponent, since
+    # lambda(s) is unitary; on these inputs the descent alone ends below sup|m|
+    m = symbol_from_spec(build_group(spec), "random:2", arity)
+    est = estimate_norm(m, ps, p, OptimizerConfig(restarts=40, max_iterations=40, seed=2))
+    assert m.sup_norm() == pytest.approx(sup, abs=1e-4)
+    assert est.value >= m.sup_norm() * (1 - 1e-12)
+    assert est.value == pytest.approx(evaluate_ratio(m, est.witness, ps, p), rel=1e-12)
+
+
 def test_estimate_norm_p1_smoothing_flagged():
     g = build_group("cyclic:3")
     m = symbol_from_spec(g, "random:6")
