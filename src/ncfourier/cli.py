@@ -250,9 +250,19 @@ def cmd_delta_mc(args) -> int:
     return 0
 
 
+def _default_batch(samples: int, cap: int = 10 ** 7) -> int:
+    """The largest divisor of ``samples`` that is at most ``cap``: the whole
+    count when it fits, so a default batch always divides the sample count."""
+    if samples <= cap:
+        return samples
+    divisors = (d for k in range(1, math.isqrt(samples) + 1) if samples % k == 0
+                for d in (k, samples // k))
+    return max(d for d in divisors if d <= cap)
+
+
 def cmd_key_lemma(args) -> int:
     eps_list = [float(tok) for tok in args.eps.split(",")]
-    cfg_batch = args.batch or min(args.samples, 10 ** 7)
+    cfg_batch = args.batch or _default_batch(args.samples)
     rows = []
     ok = True
     ratios = []

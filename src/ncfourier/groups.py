@@ -3,22 +3,33 @@
 Groups are immutable once built: an index set 0..N-1, an NxN multiplication
 table, an inverse table and identity index 0.  All exact computations in the
 package (convolution, regular representation, conjugation counting) live on
-top of these tables.  Order is capped at 4096 so the dense regular
-representation stays feasible.
+top of these tables.
+
+Each group also has a spectral layer, ``FiniteGroup.spectral()``: the Fourier
+transform onto one unitary irreducible block per class, built lazily by a
+recipe the constructor sets (FFTs for cyclic and dihedral groups, Kronecker
+blocks for products, Dixon's method for every other table).  Norms are
+computed on those blocks, so the dense NxN regular matrix no longer bounds the
+order; the cap of 4096 is the size of the multiplication table, which every
+group stores, and of the N^2-entry stored transform of Dixon's method.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 MAX_ORDER = 4096
+STORED_ORDER = 64
 
 __all__ = [
     "FiniteGroup",
+    "Spectral",
     "GroupSubset",
     "AlgebraElement",
     "SubgroupEmbedding",
@@ -47,6 +58,10 @@ class FiniteGroup:
     (a,b,c) as a*N^2 + b*N + c with group law
     (a,b,c)(a',b',c') = (a+a', b+b', c+c'+a*b'); products pack (i,j) as
     i*order2 + j.
+
+    ``spectral_recipe`` builds the group's spectral layer; the constructors
+    set it, and a table without one (a quotient, a ``from_json`` table) takes
+    Dixon's method whatever its label says.
     """
 
     order: int
@@ -55,6 +70,7 @@ class FiniteGroup:
     identity: int
     label: str
     generators: tuple[int, ...] = field(default=())
+    spectral_recipe: Callable[[], "Spectral"] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mul", np.ascontiguousarray(self.mul, dtype=np.int32))
@@ -88,6 +104,23 @@ class FiniteGroup:
             xs, ys, zs = rng.integers(0, n, size=(3, 20000))
             if not np.array_equal(mul[mul[xs, ys], zs], mul[xs, mul[ys, zs]]):
                 raise GroupError("associativity fails on sampled triples")
+
+    def spectral(self) -> "Spectral":
+        """The irreducible blocks of the group algebra, built on first use.
+
+        Up to order ``STORED_ORDER`` the recipe's transform is kept as one NxN
+        matrix: there a matrix product costs a fraction of an FFT call.
+        """
+        spec = self.__dict__.get("_spectral")
+        if spec is None:
+            if self.spectral_recipe is None:
+                spec = _StoredSpectral(*_dixon_transform(self))
+            else:
+                spec = self.spectral_recipe()
+                if self.order <= STORED_ORDER:
+                    spec = _StoredSpectral.of(spec)
+            object.__setattr__(self, "_spectral", spec)
+        return spec
 
     def delta_element(self, s: int) -> "AlgebraElement":
         """Point mass at element s."""
@@ -235,11 +268,14 @@ def _same_parent(f: AlgebraElement, g: AlgebraElement) -> None:
 
 
 def convolve(f: AlgebraElement, g: AlgebraElement) -> AlgebraElement:
-    """Group-algebra product (f*g)(s) = sum_t f(t) g(t^{-1} s)."""
+    """Group-algebra product (f*g)(s) = sum_t f(t) g(t^{-1} s), summed over the
+    support of f in increasing t, with O(N) memory."""
     _same_parent(f, g)
-    out = np.zeros(f.parent.order, dtype=complex)
-    np.add.at(out, f.parent.mul, f.coeffs[:, None] * g.coeffs[None, :])
-    return AlgebraElement(f.parent, out)
+    grp = f.parent
+    out = np.zeros(grp.order, dtype=complex)
+    for t in np.flatnonzero(f.coeffs):
+        out += f.coeffs[t] * g.coeffs[grp.mul[grp.inv[t]]]
+    return AlgebraElement(grp, out)
 
 
 def involution(f: AlgebraElement) -> AlgebraElement:
@@ -278,6 +314,322 @@ def random_element(
 
 
 # ---------------------------------------------------------------------------
+# spectral layer: the Fourier transform onto irreducible blocks
+
+
+class Spectral:
+    """The group Fourier transform f -> (f^(pi))_pi, f^(pi) = sum_s f(s) pi(s),
+    over one unitary irreducible pi per class.
+
+    lambda(f) is unitarily equivalent to the direct sum of f^(pi) (x) 1_{d_pi},
+    so ||lambda(f)||_p^p = (1/N) sum_pi d_pi ||f^(pi)||_{S_p}^p (Plancherel).
+    ``forward`` maps coefficients of shape (..., N) to one stack per block
+    dimension: stack i has shape (..., counts[i], dims[i], dims[i]).
+    ``adjoint`` maps stacks back to (..., N) coefficients,
+    adjoint(B)(s) = sum_pi d_pi tr(pi(s)^* B_pi); it is the adjoint of forward
+    under the trace pairing of the regular representation, and
+    adjoint(forward(f)) = N f.
+    """
+
+    order: int
+    dims: tuple[int, ...]
+    counts: tuple[int, ...]
+
+    def forward(self, coeffs: np.ndarray) -> list[np.ndarray]:
+        raise NotImplementedError
+
+    def adjoint(self, blocks: list[np.ndarray]) -> np.ndarray:
+        raise NotImplementedError
+
+
+class _CyclicSpectral(Spectral):
+    """Z_n: the characters s -> exp(-2 pi i k s / n), by FFT; no matrix stored."""
+
+    def __init__(self, n: int):
+        self.order, self.dims, self.counts = n, (1,), (n,)
+
+    def forward(self, coeffs):
+        return [np.fft.fft(coeffs)[..., None, None]]
+
+    def adjoint(self, blocks):
+        return self.order * np.fft.ifft(blocks[0][..., 0, 0])
+
+
+class _DihedralSpectral(Spectral):
+    """D_n from one FFT of the rotation half a = f(r^k) and the reflection half
+    b = f(s r^k): rho_j(r) = diag(w^j, w^-j), rho_j(s) = [[0, 1], [1, 0]] with
+    w = exp(2 pi i / n) and 0 < j < n/2 give the 2x2 blocks
+    [[A_-j, B_j], [B_-j, A_j]]; the characters with r -> +-1 (the sign -1 only
+    for even n) and s -> +-1 give the 1x1 blocks A_0 +- B_0 and A_n/2 +- B_n/2.
+    """
+
+    def __init__(self, n: int):
+        self.n, self.order = n, 2 * n
+        j = np.arange(1, (n + 1) // 2)
+        halves = np.array([0, n // 2] if n % 2 == 0 else [0])
+        # positions in the FFT of the two halves, laid end to end (A, then B)
+        self._rot, self._ref = np.repeat(halves, 2), n + np.repeat(halves, 2)
+        self._sign = np.tile([1.0, -1.0], len(halves))
+        self._two = np.stack([np.stack([-j % n, n + j], -1), np.stack([n + -j % n, j], -1)], -2)
+        self.dims = (1, 2) if len(j) else (1,)
+        self.counts = (2 * len(halves), len(j))[: len(self.dims)]
+
+    def forward(self, coeffs):
+        ft = np.fft.fft(coeffs.reshape(coeffs.shape[:-1] + (2, self.n))).reshape(coeffs.shape)
+        blocks = [(ft[..., self._rot] + self._sign * ft[..., self._ref])[..., None, None]]
+        if len(self.dims) == 2:
+            blocks.append(ft[..., self._two])
+        return blocks
+
+    def adjoint(self, blocks):
+        ones = blocks[0][..., 0, 0]
+        ft = np.zeros(ones.shape[:-1] + (self.order,), dtype=complex)
+        ft[..., self._rot[::2]] = ones[..., ::2] + ones[..., 1::2]
+        ft[..., self._ref[::2]] = ones[..., ::2] - ones[..., 1::2]
+        if len(self.dims) == 2:
+            ft[..., self._two] = 2.0 * blocks[1]
+        out = np.fft.ifft(ft.reshape(ft.shape[:-1] + (2, self.n)))
+        return self.n * out.reshape(ft.shape)
+
+
+def _permute_tail(x: np.ndarray, perm: tuple[int, ...]) -> np.ndarray:
+    """Permute the last len(perm) axes of x, leaving the leading ones."""
+    lead = x.ndim - len(perm)
+    return x.transpose(*range(lead), *(lead + i for i in perm))
+
+
+class _ProductSpectral(Spectral):
+    """G1 x G2: each factor's transform along its own axis of the (N1, N2)
+    coefficient grid, then the Kronecker blocks pi1(s) (x) pi2(t), gathered by
+    dimension d1*d2 (pairs in factor-stack order, pi1 outer to pi2)."""
+
+    def __init__(self, s1: Spectral, s2: Spectral):
+        self.s1, self.s2, self.order = s1, s2, s1.order * s2.order
+        pairs = [(i1, i2) for i1 in range(len(s1.dims)) for i2 in range(len(s2.dims))]
+        self.dims = tuple(sorted({s1.dims[i1] * s2.dims[i2] for i1, i2 in pairs}))
+        self._layout = [[(i1, i2) for i1, i2 in pairs if s1.dims[i1] * s2.dims[i2] == d]
+                        for d in self.dims]
+        self.counts = tuple(sum(s1.counts[i1] * s2.counts[i2] for i1, i2 in lay)
+                            for lay in self._layout)
+
+    def forward(self, coeffs):
+        s1, s2 = self.s1, self.s2
+        grid = coeffs.reshape(coeffs.shape[:-1] + (s1.order, s2.order))
+        # outer[i2][i1] has the axes (..., k2, a, b, k1, c, e) of pi2[a, b] pi1[c, e]
+        outer = [s1.forward(_permute_tail(inner, (1, 2, 3, 0))) for inner in s2.forward(grid)]
+        stacks = []
+        for d, lay in zip(self.dims, self._layout):
+            # to (..., k1, k2, c, a, e, b): the Kronecker block [(c, a), (e, b)]
+            parts = [_permute_tail(outer[i2][i1], (3, 0, 4, 1, 5, 2)) for i1, i2 in lay]
+            parts = [y.reshape(y.shape[:-6] + (-1, d, d)) for y in parts]
+            stacks.append(parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-3))
+        return stacks
+
+    def adjoint(self, blocks):
+        s1, s2 = self.s1, self.s2
+        pieces = {}
+        for stack, lay in zip(blocks, self._layout):
+            start = 0
+            for i1, i2 in lay:
+                k1, k2, d1, d2 = s1.counts[i1], s2.counts[i2], s1.dims[i1], s2.dims[i2]
+                y = stack[..., start:start + k1 * k2, :, :]
+                y = y.reshape(y.shape[:-3] + (k1, k2, d1, d2, d1, d2))
+                pieces[i1, i2] = _permute_tail(y, (1, 3, 5, 0, 2, 4))
+                start += k1 * k2
+        inner = [_permute_tail(s1.adjoint([pieces[i1, i2] for i1 in range(len(s1.dims))]),
+                               (3, 0, 1, 2))
+                 for i2 in range(len(s2.dims))]
+        out = s2.adjoint(inner)
+        return out.reshape(out.shape[:-2] + (self.order,))
+
+
+class _StoredSpectral(Spectral):
+    """A transform stored as one N x N matrix T whose columns hold the block
+    entries, stack after stack: forward(f) = f T, sliced into the stacks."""
+
+    def __init__(self, dims: tuple[int, ...], counts: tuple[int, ...], matrix: np.ndarray):
+        self.order, self.dims, self.counts, self._matrix = len(matrix), dims, counts, matrix
+        sizes = [k * d * d for k, d in zip(counts, dims)]
+        ends = np.cumsum([0] + sizes).tolist()
+        self._columns = [slice(a, b) for a, b in zip(ends, ends[1:])]
+        self._weights = np.repeat(dims, sizes)
+
+    @classmethod
+    def of(cls, spec: Spectral) -> "_StoredSpectral":
+        stacks = spec.forward(np.eye(spec.order, dtype=complex))
+        matrix = np.concatenate([b.reshape(spec.order, -1) for b in stacks], axis=1)
+        return cls(spec.dims, spec.counts, matrix)
+
+    def forward(self, coeffs):
+        y = coeffs @ self._matrix
+        return [y[..., cols].reshape(y.shape[:-1] + (k, d, d))
+                for cols, k, d in zip(self._columns, self.counts, self.dims)]
+
+    def adjoint(self, blocks):
+        flat = np.concatenate([b.reshape(b.shape[:-3] + (-1,)) for b in blocks], axis=-1)
+        return np.conj((np.conj(flat) * self._weights) @ self._matrix.T)
+
+
+# internal seed of the random Hermitian elements in Dixon's method, so that two
+# builds of the same table give bit-identical blocks
+_DIXON_SEED = 20240601
+_DIXON_ATTEMPTS = 4
+
+
+def _dixon_transform(group: FiniteGroup) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
+    """(dims, counts, matrix) of a table's transform by Dixon's method (Math.
+    Comp. 24, 1970): the eigenspaces of a random complex Hermitian element of
+    the right regular representation are irreducible left-invariant subspaces."""
+    for attempt in range(_DIXON_ATTEMPTS):
+        found = _dixon_representations(group, np.random.default_rng([_DIXON_SEED, attempt]))
+        if found is not None:
+            return found
+    raise ArithmeticError(f"no irreducible decomposition found for {group.label}")
+
+
+def _dixon_representations(group: FiniteGroup, rng: np.random.Generator):
+    """One unitary irreducible representation per class, as (dims, counts,
+    matrix) for ``_StoredSpectral``, or None when the random elements were too
+    degenerate to separate them.
+
+    l2(G) is first split by the characters chi of the centre Z: on the
+    chi-isotypic part, with basis e_r(z r) = conj(chi(z)) over coset
+    representatives r, a right-regular element c acts by the matrix
+    H[r, r'] = sum_w conj(chi(w)) c(w r^-1 r').  An irreducible pi of
+    dimension d there gives d eigenvalues of multiplicity d.  An eigenspace
+    Q (N x d) is left invariant, lambda(s) Q = Q B(s), so rows R with Q[R]
+    invertible give B(s) = Q[R]^-1 Q[s^-1 R] for all s at once.
+    """
+    n, mul, inv = group.order, group.mul, group.inv
+    centre = np.flatnonzero(np.all(mul == mul.T, axis=1))
+    chars = _centre_characters(group, centre, rng)
+    if chars is None:
+        return None
+    # every element t = z r with z in the centre and r the least element of Z t
+    rep_of = mul[centre].min(axis=0)
+    cosets = np.flatnonzero(rep_of == np.arange(n))
+    coset_of = np.searchsorted(cosets, rep_of)
+    zpos = np.argmax(mul[centre][:, rep_of] == np.arange(n), axis=0)
+    shifts = mul[centre[:, None, None], mul[inv[cosets][:, None], cosets[None, :]]]  # w r^-1 r'
+
+    def element(chi):
+        c = complex_normal(rng, n)
+        return np.tensordot(np.conj(chi), (c + np.conj(c[inv]))[shifts], axes=1)
+
+    # the eigenspaces of each chi-part, and how many irreducibles each dimension has
+    found, need = [], {}
+    for chi in chars:
+        # one random element per level, shared by the runs split at that level
+        spaces = _eigenspaces(functools.cache(lambda level, chi=chi: element(chi)))
+        sizes = np.bincount([q.shape[1] for q in spaces])
+        if any(k % d for d, k in enumerate(sizes) if k):
+            return None
+        wanted = {d: int(k) // d for d, k in enumerate(sizes) if k}
+        found.append((chi, spaces, wanted))
+        for d, k in wanted.items():
+            need[d] = need.get(d, 0) + k
+    if sum(k * d * d for d, k in need.items()) != n:
+        return None
+
+    dims = tuple(sorted(need))
+    counts = tuple(need[d] for d in dims)
+    matrix = np.empty((n, n), dtype=complex)
+    ends = np.cumsum([0] + [k * d * d for k, d in zip(counts, dims)])
+    reps = {d: matrix[:, a:b].reshape(n, need[d], d, d) for d, a, b in zip(dims, ends, ends[1:])}
+    filled = dict.fromkeys(need, 0)
+    rows_of = mul[inv[:, None], cosets[None, :]]  # s^-1 r
+    left, right = rng.integers(n, size=(2, 16))  # pairs that test B(l) B(r) = B(l r)
+    for chi, spaces, wanted in found:
+        kept: dict[int, list[np.ndarray]] = {d: [] for d in wanted}  # characters
+        for q in spaces:
+            d = q.shape[1]
+            if len(kept[d]) == wanted[d]:
+                continue
+            sel = _pivot_rows(q)
+            t = rows_of[:, sel]
+            rows = np.conj(chi[zpos[t]])[..., None] * q[coset_of[t]]  # Q[s^-1 R]
+            blocks = np.linalg.solve(q[sel], rows.transpose(1, 0, 2).reshape(d, -1))
+            blocks = blocks.reshape(d, n, d).transpose(1, 0, 2)
+            trace = np.trace(blocks, axis1=1, axis2=2)
+            hom = np.abs(blocks[left] @ blocks[right] - blocks[mul[left, right]]).max()
+            if hom > 1e-8 or abs(np.vdot(trace, trace).real / n - 1.0) > 1e-8:
+                return None  # not a representation, or a reducible one
+            # d eigenspaces carry each irreducible of dimension d > 1
+            if d > 1 and any(abs(np.vdot(k, trace)) > 0.5 * n for k in kept[d]):
+                continue
+            kept[d].append(trace)
+            reps[d][:, filled[d]] = blocks
+            filled[d] += 1
+    return (dims, counts, matrix) if filled == need else None
+
+
+def _eigenspaces(element: Callable[[int], np.ndarray], level: int = 0,
+                 basis: np.ndarray | None = None) -> list[np.ndarray]:
+    """Orthonormal bases (columns) of the eigenspaces of the Hermitian
+    element(level), compressed to the span of the columns of ``basis`` when
+    one is given (the bases are then returned in the outer coordinates).
+
+    An eigenspace is only as accurate as its eigenvalue is isolated, so a run
+    of eigenvalues closer than 1e-3 of the scale is split again by
+    element(level + 1) compressed to the run's span, up to level 2: that span
+    is well separated, and an element of the commutant compressed to an
+    invariant subspace is again one.
+    """
+    h = element(level)
+    if basis is not None:
+        h = basis.conj().T @ h @ basis
+    w, v = np.linalg.eigh(h)
+    if basis is not None:
+        v = basis @ v
+    scale = max(1.0, float(np.abs(w).max()))
+    spaces = []
+    for run in np.split(np.arange(len(w)), np.flatnonzero(np.diff(w) > 1e-3 * scale) + 1):
+        parts = np.split(run, np.flatnonzero(np.diff(w[run]) > 1e-8 * scale) + 1)
+        if len(parts) > 1 and level < 2:
+            spaces += _eigenspaces(element, level + 1, v[:, run])
+        else:
+            spaces += [v[:, idx] for idx in parts]
+    return spaces
+
+
+def _pivot_rows(q: np.ndarray) -> np.ndarray:
+    """d rows of an M x d matrix with orthonormal columns whose square block is
+    well conditioned: Gram-Schmidt with pivoting, each step taking the row of
+    largest residual norm and projecting it out of the others."""
+    residual, rows = q.copy(), []
+    for _ in range(q.shape[1]):
+        i = int(np.argmax(np.einsum("ij,ij->i", residual, residual.conj()).real))
+        rows.append(i)
+        v = residual[i] / np.linalg.norm(residual[i])
+        residual -= np.outer(residual @ v.conj(), v)
+    return np.array(rows)
+
+
+def _centre_characters(group: FiniteGroup, centre: np.ndarray, rng: np.random.Generator):
+    """chars[k, i] = chi_k(centre[i]) over all characters of the (abelian)
+    centre: the eigenvectors of random Hermitian elements of its regular
+    representation, scaled to 1 at the identity; None if they are not
+    characters."""
+    pos = np.full(group.order, -1)
+    pos[centre] = np.arange(len(centre))
+    zmul, zinv = pos[group.mul[np.ix_(centre, centre)]], pos[group.inv[centre]]
+
+    @functools.cache
+    def element(level):
+        c = complex_normal(rng, len(centre))
+        return (c + np.conj(c[zinv]))[zmul[:, zinv]]
+
+    spaces = _eigenspaces(element)
+    if any(q.shape[1] != 1 for q in spaces):
+        return None
+    vecs = np.concatenate(spaces, axis=1)
+    chars = (vecs / vecs[pos[group.identity]]).T
+    if np.abs(np.abs(chars) - 1.0).max() > 1e-8:
+        return None
+    return chars
+
+
+# ---------------------------------------------------------------------------
 # constructors
 
 
@@ -286,7 +638,7 @@ def _cyclic(n: int) -> FiniteGroup:
     mul = (idx[:, None] + idx[None, :]) % n
     inv = (-idx) % n
     gens = (1 % n,)
-    return FiniteGroup(n, mul, inv, 0, f"cyclic:{n}", gens)
+    return FiniteGroup(n, mul, inv, 0, f"cyclic:{n}", gens, lambda: _CyclicSpectral(n))
 
 
 def _dihedral(n: int) -> FiniteGroup:
@@ -302,7 +654,8 @@ def _dihedral(n: int) -> FiniteGroup:
     inv = np.zeros(order, dtype=np.int64)
     inv[:n] = (-np.arange(n)) % n
     inv[n:] = n + np.arange(n)                       # reflections are involutions
-    return FiniteGroup(order, mul, inv, 0, f"dihedral:{n}", (1 % n, n))
+    return FiniteGroup(order, mul, inv, 0, f"dihedral:{n}", (1 % n, n),
+                       lambda: _DihedralSpectral(n))
 
 
 def _heisenberg(n: int) -> FiniteGroup:
@@ -337,7 +690,8 @@ def _product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     gens = tuple(int(g) * n2 for g in g1.generators) + tuple(
         int(g) for g in g2.generators
     )
-    return FiniteGroup(order, mul, inv, 0, f"product:{g1.label},{g2.label}", gens)
+    return FiniteGroup(order, mul, inv, 0, f"product:{g1.label},{g2.label}", gens,
+                       lambda: _ProductSpectral(g1.spectral(), g2.spectral()))
 
 
 def build_group(spec: str) -> FiniteGroup:

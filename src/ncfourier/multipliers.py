@@ -26,10 +26,9 @@ from .groups import (
     convolve,
     parse_subset,
     random_element,
-    regular_matrix,
     same_group,
 )
-from .nclp import exponent_tuple, lp_norm, matrix_lp_norm
+from .nclp import exponent_tuple, lp_norm, lp_norm_gradient
 
 __all__ = [
     "Symbol",
@@ -171,17 +170,6 @@ def evaluate_ratio(
     return lp_norm(out, p) / denom
 
 
-def _schatten_gradient(mat: np.ndarray, p: float) -> np.ndarray:
-    """Ascent direction of the normalized Schatten p-norm at ``mat``.
-
-    Subdifferential U diag(sigma^(p-1)) V^H from the SVD; constant factors are
-    dropped since steps are renormalized.  Degenerate (repeated singular
-    value) points are nudged by callers per the restart design.
-    """
-    u, sigma, vh = np.linalg.svd(mat)
-    return (u * sigma ** (p - 1.0)) @ vh
-
-
 def _normalize(group: FiniteGroup, coeffs: np.ndarray, p: float) -> np.ndarray | None:
     nrm = lp_norm(AlgebraElement(group, coeffs), p)
     if nrm <= 1e-300:
@@ -231,17 +219,12 @@ def estimate_norm(
     bias = 0.0 if (p_opt == p and ps_opt == ps) else 1e-6
 
     grid = _product_index_grid(group, n) if n > 1 else None
-    reg_table = group.mul[:, group.inv]
 
     def grad_slots(fs: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
         xs = [AlgebraElement(group, f) for f in fs]
-        out = apply_multiplier(m, *xs)
-        mat = regular_matrix(out)
-        value = matrix_lp_norm(mat, p_opt, trace_dim=N)
-        gmat = _schatten_gradient(mat, p_opt)
-        # pull the matrix gradient back to the output coefficient vector
-        gout = np.zeros(N, dtype=complex)
-        np.add.at(gout, reg_table, gmat)
+        # value and output-coefficient gradient from one factorization per
+        # block; degenerate (flat) gradients are nudged below
+        value, gout = lp_norm_gradient(apply_multiplier(m, *xs), p_opt)
         grads = []
         if n == 1:
             grads.append(np.conj(m.values) * gout)

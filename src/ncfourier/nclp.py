@@ -3,8 +3,11 @@
 Conventions: Haar measure on a finite group is counting measure, the trace is
 the vector state at the identity, tau(lambda(f)) = f(e), equivalently Tr/N on
 the regular representation.  L_p norms are normalized Schatten norms of the
-regular-representation matrix; exponents are plain floats with math.inf as a
-first-class value.
+regular representation, computed on its irreducible blocks (Plancherel,
+||lambda(f)||_p^p = (1/N) sum_pi d_pi ||f^(pi)||_{S_p}^p, from
+``FiniteGroup.spectral()``), so no NxN matrix is formed or factorized;
+``matrix_lp_norm`` stays for operators that are not algebra elements.
+Exponents are plain floats with math.inf as a first-class value.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ __all__ = [
     "conjugate_exponent",
     "plancherel_trace",
     "lp_norm",
+    "lp_norm_gradient",
     "matrix_lp_norm",
     "dual_pairing",
     "PolarPair",
@@ -68,7 +72,45 @@ def matrix_lp_norm(mat: np.ndarray, p: float, trace_dim: int | None = None) -> f
 
 def lp_norm(f: AlgebraElement, p: float) -> float:
     """Noncommutative L_p norm of lambda(f); for p = 2 this is the l2 norm of f."""
-    return matrix_lp_norm(regular_matrix(f), p, trace_dim=f.parent.order)
+    if p < 1:
+        raise ValueError(f"exponent {p} < 1")
+    spec = f.parent.spectral()
+    sigmas = [_singular_values(b) for b in spec.forward(f.coeffs)]
+    if math.isinf(p):
+        return float(max(s.max(initial=0.0) for s in sigmas))
+    total = sum(d * (s ** p).sum() for d, s in zip(spec.dims, sigmas))
+    return float((total / spec.order) ** (1.0 / p))
+
+
+def lp_norm_gradient(f: AlgebraElement, p: float) -> tuple[float, np.ndarray]:
+    """||lambda(f)||_p (1 < p < inf) and the ascent direction of the norm in
+    the coefficients of f, from one SVD per block stack.
+
+    Each block f^(pi) = U sigma V^H gives G_pi = U sigma^(p-1) V^H (constant
+    factors dropped, since callers renormalize steps), pulled back by the
+    adjoint transform: the coefficient vector s -> sum_pi d_pi tr(pi(s)^* G_pi),
+    which is the regular-matrix gradient summed over the entries (t, u) with
+    t u^-1 = s.
+    """
+    spec = f.parent.spectral()
+    total, grads = 0.0, []
+    for d, b in zip(spec.dims, spec.forward(f.coeffs)):
+        if d == 1:
+            mag = np.abs(b)
+            sigma = mag[..., 0]
+            grads.append(b * np.power(mag, p - 2.0, out=np.zeros(mag.shape), where=mag > 0))
+        else:
+            u, sigma, vh = np.linalg.svd(b)
+            grads.append((u * sigma[..., None, :] ** (p - 1.0)) @ vh)
+        total += d * (sigma ** p).sum()
+    return float((total / spec.order) ** (1.0 / p)), spec.adjoint(grads)
+
+
+def _singular_values(blocks: np.ndarray) -> np.ndarray:
+    """Singular values of a (..., k, d, d) block stack, shape (..., k, d)."""
+    if blocks.shape[-1] == 1:
+        return np.abs(blocks[..., 0])
+    return np.linalg.svd(blocks, compute_uv=False)
 
 
 def dual_pairing(phi: AlgebraElement, f: AlgebraElement) -> complex:

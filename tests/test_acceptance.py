@@ -63,12 +63,13 @@ def report(num, name, ok, detail):
 
 
 def test_criterion_01_nilpotent_dimensions():
-    t0 = time.time()
+    # CPU time of this process, so that other work on the machine does not count
+    t0 = time.process_time()
     got = {}
     for n in (2, 3, 4, 5):
         model = build_model(f"sl:{n}")
         got[n] = max_nilpotent_dim(model, np.random.default_rng(1), samples=1000)
-    elapsed = time.time() - t0
+    elapsed = time.process_time() - t0
     ok = got == {2: 2, 3: 6, 4: 12, 5: 20} and elapsed < 5.0
     assert report(1, "maximal nilpotent orbit dimensions", ok,
                   f"{got}, {elapsed:.2f}s")

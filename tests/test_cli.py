@@ -3,7 +3,7 @@ import json
 import pytest
 
 from ncfourier import cli
-from ncfourier.cli import main
+from ncfourier.cli import _default_batch, main
 
 
 def run(argv):
@@ -92,6 +92,23 @@ def test_key_lemma_command_small(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "eps,R,rho,ratio,stderr,samples,seed"
     assert len(lines) == 4  # two eps rows + extrapolation row
+
+
+def test_key_lemma_default_batch_divides_samples(tmp_path):
+    # 1.5 * 10^7 samples exceed the 10^7 cap on the default batch; the default
+    # is then 7.5 * 10^6, the largest divisor of the count under the cap
+    out = tmp_path / "ratio.csv"
+    assert run(["key-lemma", "--rho", "2", "--R", "0.5", "--eps", "0.1",
+                "--samples", "15000000", "--out", str(out)]) == 0
+    assert out.read_text().strip().split("\n")[1].startswith("0.1,0.5,2.0,")
+
+
+@pytest.mark.parametrize("samples, batch", [
+    (1, 1), (10 ** 7, 10 ** 7), (2 * 10 ** 7, 10 ** 7), (15_000_000, 7_500_000),
+    (10 ** 7 + 19, 1),  # a prime above the cap
+])
+def test_default_batch(samples, batch):
+    assert _default_batch(samples) == batch
 
 
 def test_orbit_dim_and_density_and_count(tmp_path):

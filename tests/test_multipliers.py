@@ -134,6 +134,19 @@ def test_estimate_norm_self_certifying_and_deterministic():
     )
 
 
+@pytest.mark.parametrize("spec", ["dihedral:3", "heisenberg:2"])
+@pytest.mark.parametrize("arity, ps, p", [(1, (3.0,), 3.0), (2, (4.0, 4.0), 2.0)])
+def test_estimate_norm_rerun_on_a_fresh_group_is_identical(spec, arity, ps, p):
+    cfg = OptimizerConfig(restarts=6, max_iterations=30, seed=8)
+    runs = []
+    for _ in range(2):
+        m = symbol_from_spec(build_group(spec), "random:6", arity=arity)
+        runs.append(estimate_norm(m, ps, p, cfg))
+    first, second = runs
+    assert (first.value, first.iterations) == (second.value, second.iterations)
+    assert all(np.array_equal(a, b) for a, b in zip(first.witness, second.witness))
+
+
 def test_estimate_norm_warm_start_never_loses():
     g = build_group("cyclic:4")
     m = symbol_from_spec(g, "random:4")

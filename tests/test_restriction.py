@@ -253,6 +253,16 @@ def test_restriction_consistency_constant_symbol():
         assert rep.passed
 
 
+def test_restriction_consistency_rotations_in_dihedral():
+    emb = build_embedding("rotations-in-dihedral:4")
+    m = symbol_from_spec(emb.amb, "random:21")
+    for p in (1.5, 3.0, 4.0):
+        cfg = OptimizerConfig(restarts=10, max_iterations=40, seed=5)
+        rep = restriction_consistency(emb, m, (p,), p, cfg)
+        assert rep.residual <= 1e-6
+        assert rep.context["witness_transport_gap"] <= 1e-9
+
+
 def test_restriction_consistency_random():
     emb = build_embedding("rotations-in-dihedral:3")
     m = symbol_from_spec(emb.amb, "random:16")
