@@ -190,8 +190,8 @@ def cmd_periodize(args) -> int:
 def cmd_lattice_maps(args) -> int:
     group = build_group(args.group)
     stride = args.stride
-    if group.order % stride != 0:
-        print(f"stride {stride} does not divide {group.order}", file=sys.stderr)
+    if stride < 1 or group.order % stride != 0:
+        print(f"stride {stride} is not a positive divisor of {group.order}", file=sys.stderr)
         return USAGE_ERROR
     emb = build_embedding(f"cyclic-in-cyclic:{group.order // stride},{group.order}")
     X = group.subset(range(stride))
@@ -227,6 +227,8 @@ def cmd_delta_exact(args) -> int:
 def cmd_delta_mc(args) -> int:
     cfg = mc.McConfig(args.samples, args.seed, args.batch or args.samples)
     if args.group:
+        if args.F is None or args.V is None:
+            raise ValueError("finite-group mode (--group) needs --F and --V")
         group = build_group(args.group)
         F = parse_subset(group, args.F)
         V = parse_subset(group, args.V)

@@ -5,8 +5,7 @@ Sampling is batched and deterministically seeded: batch b of a run with seed
 s draws from default_rng([s, b]), so results are bit-identical across reruns
 with the same seed, sample count and batch size (a different batch size
 draws different points).  The sl(2) paths (matrix exp/log, tube
-membership, Haar density) are closed-form and fully vectorized; other models
-fall back to scipy per-sample routines.
+membership, Haar density) are closed-form and fully vectorized.
 """
 
 from __future__ import annotations
@@ -173,6 +172,10 @@ class Neighborhood:
     kind: str
     params: tuple[float, ...]
 
+    def __post_init__(self):
+        if not all(0.0 < v < math.inf for v in self.params):
+            raise ValueError(f"{self.kind} parameters must be positive and finite")
+
     @staticmethod
     def parse(spec: str) -> "Neighborhood":
         kind, _, rest = spec.partition(":")
@@ -301,6 +304,8 @@ def key_lemma_ratio(
         raise NotImplementedError("sl:2 only")
     if rho < 1.0:
         raise ValueError("rho must be >= 1")
+    if not (eps > 0 and R > 0):
+        raise ValueError("eps and R must be positive")
     if eps > R / 5.0:
         import warnings
 
@@ -330,9 +335,14 @@ def _derive(seed: int, stream: int) -> int:
 def sample_adjoint_ball_sl2(
     model: LieModel, rho: float, count: int, rng: np.random.Generator
 ) -> list[GroupMatrix]:
-    """Uniform-by-construction samples of the adjoint rho-ball of SL(2,R) via
-    KAK: random SO(2) factors and middle factor diag(e^h, e^-h) with
-    2|h| <= log rho."""
+    """Samples of the adjoint rho-ball of SL(2,R) via KAK: random SO(2)
+    factors and middle factor diag(e^h, e^-h) with h uniform on
+    2|h| <= log rho.  This is not the Haar distribution on the ball, whose
+    weight in t = |h| is sinh(2t)."""
+    if not (1.0 <= rho < math.inf):
+        raise ValueError("adjoint balls need 1 <= rho < infinity")
+    if count < 0:
+        raise ValueError("the sample count must be >= 0")
     out = []
     for _ in range(count):
         k1 = random_special_orthogonal(2, rng)

@@ -195,7 +195,10 @@ def embedding_contraction_residual(
 
 def holder_witness(x: AlgebraElement, p: float) -> AlgebraElement:
     """y = |x|^{p/q} with 1/q = 1/2 - 1/p, the sharp Holder witness for
-    ||x||_p = ||x y||_2 / ||y||_q, computed in the subgroup algebra."""
+    ||x||_p = ||x y||_2 / ||y||_q, computed in the subgroup algebra; needs
+    2 < p < infinity, where q is finite and positive."""
+    if not (2.0 < p < math.inf):
+        raise ValueError("Holder witness needs 2 < p < infinity")
     q = 1.0 / (0.5 - 1.0 / p)
     mat = regular_matrix(x)
     w, u = np.linalg.eigh(mat.conj().T @ mat)
@@ -310,28 +313,22 @@ def quotient_group(group: FiniteGroup, H: GroupSubset):
     """Quotient by a normal subgroup; returns (quotient, coset_of: index array,
     representative: index array).  Cosets are ordered by their minimal element,
     so the identity coset is index 0."""
-    members = sorted(H.members)
-    if group.identity not in H.members:
+    members = np.array(sorted(H.members), dtype=np.int64)
+    in_h = np.zeros(group.order, dtype=bool)
+    in_h[members] = True
+    if not in_h[group.identity]:
         raise GroupError("H does not contain the identity")
-    closed = all(
-        int(group.mul[a, b]) in H.members for a in members for b in members
-    )
-    if not closed or not H.is_symmetric():
+    closed = in_h[group.mul[np.ix_(members, members)]].all()
+    if not (closed and in_h[group.inv[members]].all()):
         raise GroupError("H is not a subgroup")
-    for g in range(group.order):
-        if conjugate_set(g, H).members != H.members:
-            raise GroupError("H is not normal")
-    coset_of = np.full(group.order, -1, dtype=np.int64)
-    reps: list[int] = []
-    for g in range(group.order):
-        if coset_of[g] >= 0:
-            continue
-        idx = len(reps)
-        reps.append(g)
-        for h in members:
-            coset_of[int(group.mul[g, h])] = idx
-    reps_arr = np.array(reps, dtype=np.int64)
-    q = len(reps)
+    # g h g^{-1} for every g and every h in H
+    if not in_h[group.mul[group.mul[:, members], group.inv[:, None]]].all():
+        raise GroupError("H is not normal")
+    # each coset gH is named by its minimal element
+    coset_min = group.mul[:, members].min(axis=1)
+    reps_arr = np.unique(coset_min).astype(np.int64)
+    coset_of = np.searchsorted(reps_arr, coset_min).astype(np.int64)
+    q = len(reps_arr)
     mul = coset_of[group.mul[reps_arr[:, None], reps_arr[None, :]]]
     inv = coset_of[group.inv[reps_arr]]
     quotient = FiniteGroup(q, mul, inv, 0, f"{group.label}/H{len(members)}")
@@ -368,6 +365,7 @@ def periodization_residual(
     quotient, coset_of, _ = quotient_group(group, H)
     if not same_group(m_q.parent, quotient):
         raise GroupError("symbol does not live on G/H")
+    quotient = m_q.parent  # the caller's table, whose spectral layer is cached
     n = m_q.arity
     if len(ps) != n:
         raise ValueError("exponent tuple must match arity")

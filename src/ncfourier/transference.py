@@ -87,6 +87,8 @@ def hertz_schur_transference_residual(
     exponents, which are nevertheless validated (1/p1 + 1/p2 <= 1).
     """
     L = m.parent.order
+    if alpha < 0:
+        raise ValueError(f"Folner radius {alpha} is negative")
     if alpha > L // 4:
         raise ValueError(f"Folner radius {alpha} too large for L = {L}")
     if p1 < 1 or p2 < 1 or 1.0 / p1 + 1.0 / p2 > 1.0 + 1e-12:

@@ -142,6 +142,25 @@ def test_usage_errors():
     assert run(["group", "--group", "nonsense:3"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["delta-mc", "--W", "tube:0,0.5", "--samples", "10000"],
+    ["delta-mc", "--W", "tube:-0.05,0.5", "--samples", "10000"],
+    ["key-lemma", "--rho", "2", "--R", "0.5", "--eps", "0"],
+    ["key-lemma", "--rho", "2", "--R", "0", "--eps", "0.1"],
+    ["key-lemma", "--rho", "2", "--R", "0.5", "--eps", "-0.1"],
+    ["delta-mc", "--rho", "0.5", "--samples", "10000"],
+    ["delta-mc", "--F-count", "-1", "--samples", "10000"],
+    ["delta-mc", "--group", "cyclic:4"],
+    ["lattice-maps", "--group", "cyclic:64", "--stride", "0"],
+    ["transference", "--alpha", "-2"],
+], ids=" ".join)
+def test_bad_input_exits_2_with_one_line(capsys, argv):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# defaults for this experiment\nseed=9\nrestarts=5\n")

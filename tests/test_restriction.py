@@ -177,6 +177,13 @@ def test_holder_witness_is_sharp():
         )
 
 
+@pytest.mark.parametrize("p", [2.0, 1.5, math.inf])
+def test_holder_witness_requires_p_between_two_and_infinity(p):
+    x = random_element(build_group("cyclic:8"), np.random.default_rng(9))
+    with pytest.raises(ValueError):
+        holder_witness(x, p)
+
+
 def test_lower_bound_trivial_v():
     emb = build_embedding("cyclic-in-cyclic:2,16")
     x = random_element(emb.sub, np.random.default_rng(10))
@@ -286,6 +293,21 @@ def test_quotient_group_construction():
 
     with pytest.raises(GroupError):
         quotient_group(d3, d3.subset([0, 3]))  # reflection subgroup is not normal
+
+
+@pytest.mark.parametrize("members, message", [
+    ([1, 2, 3], "does not contain the identity"),
+    ([0, 1, 5], "is not a subgroup"),  # symmetric but not closed
+    # not symmetric; in a finite group a closed subset is a subgroup, so a
+    # subset that is not symmetric is not closed either
+    ([0, 1], "is not a subgroup"),
+])
+def test_quotient_group_rejects_non_subgroups(members, message):
+    from ncfourier.groups import GroupError
+
+    z6 = build_group("cyclic:6")
+    with pytest.raises(GroupError, match=message):
+        quotient_group(z6, z6.subset(members))
 
 
 def test_periodization_trivial_subgroup():
