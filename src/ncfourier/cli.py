@@ -94,6 +94,12 @@ def _report_line(name: str, passed: bool, detail: str) -> None:
     print(f"[{'pass' if passed else 'FAIL'}] {name}: {detail}")
 
 
+def _require_count(flag: str, value: int) -> None:
+    """A repetition count must run at least once, or a pass would mean nothing."""
+    if value < 1:
+        raise ValueError(f"{flag} must be >= 1, got {value}")
+
+
 def _symbol_from_flag(group, spec: str, arity: int) -> Symbol:
     if spec.startswith("csv:"):
         return symbol_from_csv(group, spec[4:])
@@ -128,6 +134,7 @@ def cmd_norm(args) -> int:
 
 
 def cmd_identity_check(args) -> int:
+    _require_count("--trials", args.trials)
     group = build_group(args.group)
     rng = np.random.default_rng(args.seed)
     rows = []
@@ -174,6 +181,7 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_periodize(args) -> int:
+    _require_count("--trials", args.trials)
     group = build_group(args.group)
     H = parse_subset(group, args.normal_subgroup)
     quotient, _, _ = quotient_group(group, H)
@@ -188,6 +196,7 @@ def cmd_periodize(args) -> int:
 
 
 def cmd_lattice_maps(args) -> int:
+    _require_count("--trials", args.trials)
     group = build_group(args.group)
     stride = args.stride
     if stride < 1 or group.order % stride != 0:
@@ -290,6 +299,7 @@ def cmd_key_lemma(args) -> int:
 
 
 def cmd_orbit_dim(args) -> int:
+    _require_count("--sweep", args.sweep)
     model = build_model(args.model)
     rng = np.random.default_rng(args.seed)
     d = max_nilpotent_dim(model, rng, samples=args.sweep)

@@ -44,6 +44,8 @@ class McConfig:
     def __post_init__(self):
         if self.samples < 10 ** 4:
             raise ValueError("need at least 10^4 samples")
+        if self.batch < 0:
+            raise ValueError(f"batch size must be >= 0 (0: one batch), got {self.batch}")
         batch = self.batch or self.samples
         if self.samples % batch != 0:
             raise ValueError("batch size must divide the sample count")

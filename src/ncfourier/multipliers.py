@@ -5,7 +5,11 @@ sum over tuples of m(s_1,...,s_n) f_1(s_1)...f_n(s_n) lambda(s_1...s_n).
 Norm estimation is lower-bound-only: multi-start projected gradient ascent on
 the coefficient vectors, with witnesses kept so every reported value is the
 evaluated ratio of a concrete input tuple.  No upper-bound certification is
-attempted away from the exact p = 2 linear case.
+attempted away from the exact p = 2 linear case.  The starts are held as one
+(S, N) coefficient stack per slot and advance together: each iteration is one
+batched forward transform, one batched SVD per block stack and one batched
+adjoint for every start still running.  The stack is cut into chunks of at
+most max(1, 2^20 // N^arity) starts, so no stacked tensor passes 16 MB.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .groups import (
     random_element,
     same_group,
 )
-from .nclp import exponent_tuple, lp_norm, lp_norm_gradient
+from .nclp import exponent_tuple, lp_norm, lp_norm_gradient, lp_norms
 
 __all__ = [
     "Symbol",
@@ -48,6 +52,9 @@ __all__ = [
 ]
 
 MAX_TABLE = 2 ** 24
+# estimate_norm advances its starts in chunks whose symbol-sized tensors (one
+# N^arity table per start) hold at most this many entries: 16 MB of complex
+_STACK_ENTRIES = 2 ** 20
 
 
 @dataclass(eq=False)
@@ -81,9 +88,10 @@ def _product_index_grid(group: FiniteGroup, arity: int) -> np.ndarray:
 
 
 def _coeff_outer(fs: list[np.ndarray]) -> np.ndarray:
+    """Outer product of (..., N) stacks over their last axis, row by row."""
     out = fs[0]
-    for f in fs[1:]:
-        out = out[..., None] * f
+    for k, f in enumerate(fs[1:], 1):
+        out = out[..., None] * f.reshape(f.shape[:-1] + (1,) * k + f.shape[-1:])
     return out
 
 
@@ -94,13 +102,21 @@ def apply_multiplier(m: Symbol, *fs: AlgebraElement) -> AlgebraElement:
     for f in fs:
         if not same_group(f.parent, m.parent):
             raise GroupError("arguments live on a different group than the symbol")
+    return AlgebraElement(m.parent, _apply_stack(m, [f.coeffs for f in fs]))
+
+
+def _apply_stack(m: Symbol, cs: list[np.ndarray]) -> np.ndarray:
+    """T_m on (..., N) coefficient stacks, one output row per row of inputs."""
     if m.arity == 1:
-        return AlgebraElement(m.parent, m.values * fs[0].coeffs)
+        return m.values * cs[0]
+    N, lead = m.parent.order, cs[0].shape[:-1]
     grid = _product_index_grid(m.parent, m.arity)
-    weights = m.values * _coeff_outer([f.coeffs for f in fs])
-    out = np.zeros(m.parent.order, dtype=complex)
-    np.add.at(out, grid, weights)
-    return AlgebraElement(m.parent, out)
+    if lead:
+        # row r adds into the flat entries r*N + s, in the one-row order
+        grid = grid + N * np.arange(math.prod(lead)).reshape(lead + (1,) * m.arity)
+    out = np.zeros(lead + (N,), dtype=complex)
+    np.add.at(out.reshape(-1), grid, m.values * _coeff_outer(cs))
+    return out
 
 
 @dataclass
@@ -124,6 +140,9 @@ class NormEstimate:
     ``value`` always equals the evaluated ratio of ``witness`` (self
     certifying); it is a lower bound on the true norm by construction, and
     the gap to the true norm is unquantified away from the exact cases.
+    ``converged`` says whether any start converged, ``converged_runs`` how
+    many did, and ``restart_values`` holds the final ratio of each start
+    (warm starts first; 0 for a start that cannot be normalized).
     """
 
     value: float
@@ -135,6 +154,8 @@ class NormEstimate:
     p: float = 2.0
     ps: tuple[float, ...] = field(default_factory=tuple)
     smoothing_bias: float = 0.0
+    converged_runs: int = 0
+    restart_values: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -159,22 +180,113 @@ def evaluate_ratio(
     m: Symbol, witness: list[np.ndarray], ps: tuple[float, ...], p: float
 ) -> float:
     """||T_m(x_1..x_n)||_p / prod ||x_i||_{p_i} for explicit coefficient vectors."""
-    xs = [AlgebraElement(m.parent, w) for w in witness]
-    denom = 1.0
-    for x, pi in zip(xs, ps):
-        nrm = lp_norm(x, pi)
-        if nrm == 0.0:
-            return 0.0
-        denom *= nrm
-    out = apply_multiplier(m, *xs)
-    return lp_norm(out, p) / denom
+    return float(_ratios(m, [AlgebraElement(m.parent, w).coeffs for w in witness], ps, p))
 
 
-def _normalize(group: FiniteGroup, coeffs: np.ndarray, p: float) -> np.ndarray | None:
-    nrm = lp_norm(AlgebraElement(group, coeffs), p)
-    if nrm <= 1e-300:
-        return None
-    return coeffs / nrm
+def _ratios(m: Symbol, cs: list[np.ndarray], ps, p: float) -> np.ndarray:
+    """``evaluate_ratio`` of each row of (..., N) slot stacks; 0 where an
+    input norm is 0."""
+    denom, zero = 1.0, False
+    for c, q in zip(cs, ps):
+        nrm = lp_norms(m.parent, c, q)
+        denom, zero = denom * nrm, zero | (nrm == 0.0)
+    value = lp_norms(m.parent, _apply_stack(m, cs), p)
+    return np.divide(value, denom, out=np.zeros(np.shape(value)), where=~zero)
+
+
+def _normalized(
+    group: FiniteGroup, cs: list[np.ndarray], ps
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each row of each (S, N) slot stack scaled to unit L_{p_i} norm, and the
+    mask of rows with a slot norm <= 1e-300 (left unscaled)."""
+    out, tiny = [], np.zeros(len(cs[0]), dtype=bool)
+    for c, q in zip(cs, ps):
+        nrm = lp_norms(group, c, q)
+        small = nrm <= 1e-300
+        tiny |= small
+        out.append(c / np.where(small, 1.0, nrm)[:, None])
+    return out, tiny
+
+
+def _value_grads(m: Symbol, cs: list[np.ndarray], p: float) -> tuple[np.ndarray, list[np.ndarray]]:
+    """||T_m(rows)||_p and its ascent direction in each slot, for (S, N)
+    slot stacks, from one factorization per block stack; degenerate (flat)
+    gradients are nudged by the caller."""
+    group, n, N = m.parent, m.arity, m.parent.order
+    value, gout = lp_norm_gradient(group, _apply_stack(m, cs), p)
+    if n == 1:
+        return value, [np.conj(m.values) * gout]
+    gathered = gout[..., _product_index_grid(group, n)]
+    grads = []
+    for i in range(n):
+        weight = np.conj(m.values) * gathered
+        # contract all slots except i
+        for j in range(n):
+            if j == i:
+                continue
+            shape = [1] * n
+            shape[j] = N
+            weight = weight * np.conj(cs[j]).reshape((len(cs[j]), *shape))
+        grads.append(np.sum(weight, axis=tuple(1 + j for j in range(n) if j != i)))
+    return value, grads
+
+
+def _ascend(m: Symbol, fs: list[np.ndarray], nudge_seeds: list[int], ps_opt, p_opt: float,
+            cfg: OptimizerConfig) -> tuple[int, int]:
+    """Projected gradient ascent of every row of the normalized (S, N) slot
+    stacks ``fs`` at once, in place; returns (iterations, converged rows).
+
+    Each row follows the one-start rule: step 0.5, grown by 1.2 (up to 2) on
+    an accepted step and halved on a rejected one; a flat gradient gets a
+    1e-9 nudge from the row's own generator; the row stops when an accepted
+    step improves by less than ``step_tolerance`` relatively or the step
+    falls below 1e-12 (both count as converged), when a proposal cannot be
+    normalized, or after ``max_iterations``.  Rows leave the batch through
+    the ``active`` mask.
+    """
+    group = m.parent
+    value, grads = _value_grads(m, fs, p_opt)
+    step = np.full(len(value), 0.5)
+    iterations = 0
+    converged = np.zeros(len(value), dtype=bool)
+    active = np.ones(len(value), dtype=bool)
+    nudges: dict[int, np.random.Generator] = {}
+    for _ in range(cfg.max_iterations):
+        live = np.flatnonzero(active)
+        if not live.size:
+            break
+        iterations += live.size
+        norms = [np.linalg.norm(g[live], axis=-1) for g in grads]
+        flat = np.any([gn < 1e-14 for gn in norms], axis=0)
+        proposal = [f[live] + step[live, None] * g[live] / np.where(gn < 1e-14, 1.0, gn)[:, None]
+                    for f, g, gn in zip(fs, grads, norms)]
+        for i in np.flatnonzero(flat):
+            # repeated singular values flatten the subgradient; nudge
+            k = int(live[i])
+            rng = nudges.setdefault(
+                k, np.random.default_rng([cfg.seed, nudge_seeds[k], 977]))
+            for x in proposal:
+                x[i] = x[i] + 1e-9 * random_element(group, rng).coeffs
+        proposal, tiny = _normalized(group, proposal, ps_opt)
+        active[live[tiny]] = False
+        live, proposal = live[~tiny], [x[~tiny] for x in proposal]
+        if not live.size:
+            break
+        new_value, new_grads = _value_grads(m, proposal, p_opt)
+        up = new_value >= value[live]
+        rows = live[up]
+        improvement = new_value[up] - value[rows]
+        for f, g, x, gx in zip(fs, grads, proposal, new_grads):
+            f[rows], g[rows] = x[up], gx[up]
+        value[rows] = new_value[up]
+        step[rows] = np.minimum(step[rows] * 1.2, 2.0)
+        stop = rows[improvement < cfg.step_tolerance * np.maximum(value[rows], 1e-30)]
+        down = live[~up]
+        step[down] *= 0.5
+        stop = np.concatenate([stop, down[step[down] < 1e-12]])
+        converged[stop] = True
+        active[stop] = False
+    return iterations, int(converged.sum())
 
 
 def estimate_norm(
@@ -194,6 +306,13 @@ def estimate_norm(
     equal to 1 are optimized at the smoothing exponent 1 + 1e-6 (final ratios
     are evaluated at the true exponents, so the reported value stays a valid
     lower bound; the smoothing only steers the search).
+
+    The starts (the warm starts, then ``cfg.restarts`` random ones) are held
+    as one (S, N) stack per slot and advance together, in chunks of at most
+    max(1, 2^20 // N^arity) starts; each start follows the same rule
+    as if it ran alone (see ``_ascend``).  The best witness is chosen in start
+    order: each start's ratio at its start, then at its end, replaces the
+    best so far when it is strictly larger.
     """
     ps = exponent_tuple(ps)
     p = float(p)
@@ -218,100 +337,47 @@ def estimate_norm(
     ps_opt = tuple(max(q, smooth) for q in ps)
     bias = 0.0 if (p_opt == p and ps_opt == ps) else 1e-6
 
-    grid = _product_index_grid(group, n) if n > 1 else None
-
-    def grad_slots(fs: list[np.ndarray]) -> tuple[float, list[np.ndarray]]:
-        xs = [AlgebraElement(group, f) for f in fs]
-        # value and output-coefficient gradient from one factorization per
-        # block; degenerate (flat) gradients are nudged below
-        value, gout = lp_norm_gradient(apply_multiplier(m, *xs), p_opt)
-        grads = []
-        if n == 1:
-            grads.append(np.conj(m.values) * gout)
-        else:
-            gathered = gout[grid]
-            for i in range(n):
-                weight = np.conj(m.values) * gathered
-                # contract all slots except i
-                for j in range(n):
-                    if j == i:
-                        continue
-                    shape = [1] * n
-                    shape[j] = N
-                    weight = weight * np.conj(fs[j]).reshape(shape)
-                axes = tuple(j for j in range(n) if j != i)
-                grads.append(np.sum(weight, axis=axes))
-        return value, grads
-
-    best_value = evaluate_ratio(m, best_witness, ps, p)
-    total_iter = 0
-    converged_any = False
-
-    starts: list[tuple[int, list[np.ndarray]]] = []
-    for w_idx, w in enumerate(warm_starts or []):
-        starts.append((-len(warm_starts or []) + w_idx, [np.asarray(c, dtype=complex) for c in w]))
+    starts = [[AlgebraElement(group, c).coeffs for c in w] for w in warm_starts or []]
+    nudge_seeds = [0] * len(starts) + list(range(cfg.restarts))
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, r])
-        starts.append((r, [random_element(group, rng).coeffs for _ in range(n)]))
+        starts.append([random_element(group, rng).coeffs for _ in range(n)])
 
-    for r_idx, fs in starts:
-        fs = [_normalize(group, f, q) for f, q in zip(fs, ps_opt)]
-        if any(f is None for f in fs):
+    best_value = evaluate_ratio(m, best_witness, ps, p)
+    restart_values = np.zeros(len(starts))
+    total_iter = converged_runs = 0
+    chunk = max(1, _STACK_ENTRIES // N ** n)
+    for lo in range(0, len(starts), chunk):
+        fs, tiny = _normalized(
+            group, [np.array([s[j] for s in starts[lo:lo + chunk]]) for j in range(n)], ps_opt)
+        kept = np.flatnonzero(~tiny)
+        if not kept.size:
             continue
-        start_ratio = evaluate_ratio(m, fs, ps, p)
-        if start_ratio > best_value:
-            best_value = start_ratio
-            best_witness = [f.copy() for f in fs]
-        rng = np.random.default_rng([cfg.seed, max(r_idx, 0), 977])
-        step = 0.5
-        value, grads = grad_slots(fs)
-        run_converged = False
-        for it in range(cfg.max_iterations):
-            total_iter += 1
-            proposal = []
-            degenerate = False
-            for f, g, q in zip(fs, grads, ps_opt):
-                gn = np.linalg.norm(g)
-                if gn < 1e-14:
-                    degenerate = True
-                    gn = 1.0
-                cand = f + step * g / gn
-                proposal.append(cand)
-            if degenerate:
-                # repeated singular values flatten the subgradient; nudge
-                proposal = [f + 1e-9 * random_element(group, rng).coeffs for f in proposal]
-            proposal = [_normalize(group, f, q) for f, q in zip(proposal, ps_opt)]
-            if any(f is None for f in proposal):
-                break
-            new_value, new_grads = grad_slots(proposal)
-            if new_value >= value:
-                improvement = new_value - value
-                fs, value, grads = proposal, new_value, new_grads
-                step = min(step * 1.2, 2.0)
-                if improvement < cfg.step_tolerance * max(value, 1e-30):
-                    run_converged = True
-                    break
-            else:
-                step *= 0.5
-                if step < 1e-12:
-                    run_converged = True
-                    break
-        converged_any = converged_any or run_converged
-        true_value = evaluate_ratio(m, fs, ps, p)
-        if true_value > best_value:
-            best_value = true_value
-            best_witness = [f.copy() for f in fs]
+        fs = [f[kept] for f in fs]
+        start, start_ratio = [f.copy() for f in fs], _ratios(m, fs, ps, p)
+        iterations, converged = _ascend(
+            m, fs, [nudge_seeds[lo + k] for k in kept], ps_opt, p_opt, cfg)
+        end_ratio = _ratios(m, fs, ps, p)
+        total_iter += iterations
+        converged_runs += converged
+        for i in range(len(kept)):
+            for stack, ratio in ((start, start_ratio[i]), (fs, end_ratio[i])):
+                if ratio > best_value:
+                    best_value, best_witness = float(ratio), [f[i].copy() for f in stack]
+        restart_values[lo + kept] = end_ratio
 
     return NormEstimate(
         value=best_value,
         witness=best_witness,
         restarts=cfg.restarts,
         iterations=total_iter,
-        converged=converged_any,
+        converged=converged_runs > 0,
         seed=cfg.seed,
         p=p,
         ps=ps,
         smoothing_bias=bias,
+        converged_runs=converged_runs,
+        restart_values=restart_values,
     )
 
 

@@ -5,24 +5,28 @@ the vector state at the identity, tau(lambda(f)) = f(e), equivalently Tr/N on
 the regular representation.  L_p norms are normalized Schatten norms of the
 regular representation, computed on its irreducible blocks (Plancherel,
 ||lambda(f)||_p^p = (1/N) sum_pi d_pi ||f^(pi)||_{S_p}^p, from
-``FiniteGroup.spectral()``), so no NxN matrix is formed or factorized;
-``matrix_lp_norm`` stays for operators that are not algebra elements.
+``FiniteGroup.spectral()``), so no NxN matrix is formed or factorized.
+``lp_norms`` and ``lp_norm_gradient`` take (..., N) coefficient stacks and
+return one value per row; ``lp_norm`` is the one-element case of the same
+code.  ``matrix_lp_norm`` stays for operators that are not algebra elements.
 Exponents are plain floats with math.inf as a first-class value.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import AlgebraElement, GroupSubset, _same_parent, regular_matrix
+from .groups import AlgebraElement, FiniteGroup, GroupSubset, _same_parent, regular_matrix
 
 __all__ = [
     "conjugate_exponent",
     "plancherel_trace",
     "lp_norm",
+    "lp_norms",
     "lp_norm_gradient",
     "matrix_lp_norm",
     "dual_pairing",
@@ -72,19 +76,27 @@ def matrix_lp_norm(mat: np.ndarray, p: float, trace_dim: int | None = None) -> f
 
 def lp_norm(f: AlgebraElement, p: float) -> float:
     """Noncommutative L_p norm of lambda(f); for p = 2 this is the l2 norm of f."""
+    return float(lp_norms(f.parent, f.coeffs, p))
+
+
+def lp_norms(group: FiniteGroup, coeffs: np.ndarray, p: float) -> np.ndarray:
+    """L_p norms of a (..., N) stack of coefficient vectors, one per row."""
     if p < 1:
         raise ValueError(f"exponent {p} < 1")
-    spec = f.parent.spectral()
-    sigmas = [_singular_values(b) for b in spec.forward(f.coeffs)]
+    spec = group.spectral()
+    sigmas = [_singular_values(b) for b in spec.forward(coeffs)]
     if math.isinf(p):
-        return float(max(s.max(initial=0.0) for s in sigmas))
-    total = sum(d * (s ** p).sum() for d, s in zip(spec.dims, sigmas))
-    return float((total / spec.order) ** (1.0 / p))
+        return functools.reduce(np.maximum, (s.max(axis=(-2, -1), initial=0.0) for s in sigmas))
+    total = sum(d * (s ** p).sum(axis=(-2, -1)) for d, s in zip(spec.dims, sigmas))
+    return (total / spec.order) ** (1.0 / p)
 
 
-def lp_norm_gradient(f: AlgebraElement, p: float) -> tuple[float, np.ndarray]:
-    """||lambda(f)||_p (1 < p < inf) and the ascent direction of the norm in
-    the coefficients of f, from one SVD per block stack.
+def lp_norm_gradient(
+    group: FiniteGroup, coeffs: np.ndarray, p: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """||lambda(f)||_p (1 < p < inf) of each row f of a (..., N) coefficient
+    stack, and the ascent direction of the norm in the coefficients of f,
+    from one SVD per block stack.
 
     Each block f^(pi) = U sigma V^H gives G_pi = U sigma^(p-1) V^H (constant
     factors dropped, since callers renormalize steps), pulled back by the
@@ -92,9 +104,9 @@ def lp_norm_gradient(f: AlgebraElement, p: float) -> tuple[float, np.ndarray]:
     which is the regular-matrix gradient summed over the entries (t, u) with
     t u^-1 = s.
     """
-    spec = f.parent.spectral()
+    spec = group.spectral()
     total, grads = 0.0, []
-    for d, b in zip(spec.dims, spec.forward(f.coeffs)):
+    for d, b in zip(spec.dims, spec.forward(coeffs)):
         if d == 1:
             mag = np.abs(b)
             sigma = mag[..., 0]
@@ -102,8 +114,8 @@ def lp_norm_gradient(f: AlgebraElement, p: float) -> tuple[float, np.ndarray]:
         else:
             u, sigma, vh = np.linalg.svd(b)
             grads.append((u * sigma[..., None, :] ** (p - 1.0)) @ vh)
-        total += d * (sigma ** p).sum()
-    return float((total / spec.order) ** (1.0 / p)), spec.adjoint(grads)
+        total = total + d * (sigma ** p).sum(axis=(-2, -1))
+    return (total / spec.order) ** (1.0 / p), spec.adjoint(grads)
 
 
 def _singular_values(blocks: np.ndarray) -> np.ndarray:

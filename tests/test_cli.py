@@ -153,6 +153,14 @@ def test_usage_errors():
     ["delta-mc", "--group", "cyclic:4"],
     ["lattice-maps", "--group", "cyclic:64", "--stride", "0"],
     ["transference", "--alpha", "-2"],
+    ["key-lemma", "--rho", "2", "--R", "0.5", "--eps", "0.1", "--samples", "10000",
+     "--batch", "-5"],
+    ["orbit-dim", "--model", "sl:3", "--sweep", "-5"],
+    ["orbit-dim", "--model", "sl:3", "--sweep", "0"],
+    ["identity-check", "--group", "cyclic:4", "--trials", "-1"],
+    ["identity-check", "--group", "cyclic:4", "--trials", "0"],
+    ["periodize", "--group", "cyclic:4", "--normal-subgroup", "indices:0,2", "--trials", "0"],
+    ["lattice-maps", "--group", "cyclic:64", "--stride", "8", "--trials", "-3"],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert run(argv) == 2

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import ncfourier.multipliers as multipliers
 from ncfourier.groups import AlgebraElement, build_group, build_embedding, convolve, random_element
 from ncfourier.multipliers import (
     OptimizerConfig,
@@ -15,7 +16,7 @@ from ncfourier.multipliers import (
     symbol_from_spec,
     symbol_to_csv,
 )
-from ncfourier.nclp import conjugate_exponent
+from ncfourier.nclp import conjugate_exponent, lp_norm, lp_norm_gradient
 
 
 def test_constant_symbol_is_convolution():
@@ -169,6 +170,140 @@ def test_estimate_norm_never_below_point_masses(spec, arity, ps, p, sup):
     assert m.sup_norm() == pytest.approx(sup, abs=1e-4)
     assert est.value >= m.sup_norm() * (1 - 1e-12)
     assert est.value == pytest.approx(evaluate_ratio(m, est.witness, ps, p), rel=1e-12)
+
+
+def _sequential_estimate(m, ps, p, cfg, warm_starts=None):
+    """Oracle: the one-start-at-a-time loop that ``estimate_norm`` stacks.
+
+    Returns (value, witness, iterations)."""
+    group, n, N = m.parent, m.arity, m.parent.order
+    peak = np.unravel_index(int(np.argmax(np.abs(m.values))), m.values.shape)
+    best_witness = [group.delta_element(int(s)).coeffs for s in peak]
+    best_value = evaluate_ratio(m, best_witness, ps, p)
+    p_opt, ps_opt = max(p, 1.0 + 1e-6), tuple(max(q, 1.0 + 1e-6) for q in ps)
+    grid = np.arange(N)
+    for _ in range(n - 1):
+        grid = group.mul[grid[..., None], np.arange(N)]
+
+    def normalize(f, q):
+        nrm = lp_norm(AlgebraElement(group, f), q)
+        return None if nrm <= 1e-300 else f / nrm
+
+    def grad_slots(fs):
+        out = apply_multiplier(m, *(AlgebraElement(group, f) for f in fs))
+        value, gout = lp_norm_gradient(group, out.coeffs, p_opt)
+        if n == 1:
+            return value, [np.conj(m.values) * gout]
+        grads = []
+        for i in range(n):
+            weight = np.conj(m.values) * gout[grid]
+            for j in range(n):
+                if j != i:
+                    shape = [1] * n
+                    shape[j] = N
+                    weight = weight * np.conj(fs[j]).reshape(shape)
+            grads.append(np.sum(weight, axis=tuple(j for j in range(n) if j != i)))
+        return value, grads
+
+    starts = [(-1, [np.asarray(c, dtype=complex) for c in w]) for w in warm_starts or []]
+    for r in range(cfg.restarts):
+        rng = np.random.default_rng([cfg.seed, r])
+        starts.append((r, [random_element(group, rng).coeffs for _ in range(n)]))
+    total_iter = 0
+    for r_idx, fs in starts:
+        fs = [normalize(f, q) for f, q in zip(fs, ps_opt)]
+        if any(f is None for f in fs):
+            continue
+        start_ratio = evaluate_ratio(m, fs, ps, p)
+        if start_ratio > best_value:
+            best_value, best_witness = start_ratio, [f.copy() for f in fs]
+        rng = np.random.default_rng([cfg.seed, max(r_idx, 0), 977])
+        step = 0.5
+        value, grads = grad_slots(fs)
+        for _ in range(cfg.max_iterations):
+            total_iter += 1
+            proposal, degenerate = [], False
+            for f, g in zip(fs, grads):
+                gn = np.linalg.norm(g)
+                if gn < 1e-14:
+                    degenerate, gn = True, 1.0
+                proposal.append(f + step * g / gn)
+            if degenerate:
+                proposal = [f + 1e-9 * random_element(group, rng).coeffs for f in proposal]
+            proposal = [normalize(f, q) for f, q in zip(proposal, ps_opt)]
+            if any(f is None for f in proposal):
+                break
+            new_value, new_grads = grad_slots(proposal)
+            if new_value >= value:
+                improvement = new_value - value
+                fs, value, grads = proposal, new_value, new_grads
+                step = min(step * 1.2, 2.0)
+                if improvement < cfg.step_tolerance * max(value, 1e-30):
+                    break
+            else:
+                step *= 0.5
+                if step < 1e-12:
+                    break
+        end_ratio = evaluate_ratio(m, fs, ps, p)
+        if end_ratio > best_value:
+            best_value, best_witness = end_ratio, [f.copy() for f in fs]
+    return best_value, best_witness, total_iter
+
+
+ORACLE_PANEL = [
+    *[(spec, 1, (q,), q, False)
+      for spec in ("cyclic:8", "dihedral:4", "heisenberg:2", "product:cyclic:2,cyclic:4")
+      for q in (1.0, 1.5, 3.0, 4.0)],
+    ("dihedral:3", 2, (4.0, 4.0), 2.0, False),
+    ("cyclic:6", 2, (4.0, 4.0), 2.0, False),
+    ("heisenberg:2", 1, (3.0,), 3.0, True),
+]
+
+
+@pytest.mark.parametrize("spec, arity, ps, p, warm", ORACLE_PANEL, ids=[
+    f"{spec} {','.join(map(str, ps))}->{p}{' warm' if warm else ''}"
+    for spec, _, ps, p, warm in ORACLE_PANEL])
+def test_stacked_estimate_matches_sequential_oracle(spec, arity, ps, p, warm):
+    m = symbol_from_spec(build_group(spec), "random:21", arity)
+    cfg = OptimizerConfig(restarts=12, max_iterations=40, seed=5)
+    warm_starts = None
+    if warm:
+        other = estimate_norm(m, ps, p, OptimizerConfig(restarts=2, max_iterations=10, seed=9))
+        warm_starts = [other.witness, [np.zeros(m.parent.order)]]
+    est = estimate_norm(m, ps, p, cfg, warm_starts=warm_starts)
+    value, witness, iterations = _sequential_estimate(m, ps, p, cfg, warm_starts)
+    assert est.value == pytest.approx(value, rel=1e-9, abs=0)
+    assert evaluate_ratio(m, est.witness, ps, p) == pytest.approx(est.value, rel=1e-12, abs=0)
+    assert evaluate_ratio(m, witness, ps, p) == pytest.approx(value, rel=1e-12, abs=0)
+    assert abs(est.iterations - iterations) <= 0.01 * iterations
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_stacked_estimate_does_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    m = symbol_from_spec(build_group("dihedral:4"), "random:3")
+    cfg = OptimizerConfig(restarts=10, max_iterations=30, seed=4)
+    # a zero warm start cannot be normalized, so a chunk of 1 holds no start
+    warm = [[np.zeros(m.parent.order)]]
+    whole = estimate_norm(m, (3.0,), 3.0, cfg, warm_starts=warm)
+    monkeypatch.setattr(multipliers, "_STACK_ENTRIES", chunk * m.parent.order)
+    cut = estimate_norm(m, (3.0,), 3.0, cfg, warm_starts=warm)
+    assert cut.value == pytest.approx(whole.value, rel=1e-12, abs=0)
+    assert cut.restart_values == pytest.approx(whole.restart_values, rel=1e-12, abs=0)
+    assert cut.restart_values[0] == 0.0
+
+
+@pytest.mark.parametrize("spec, arity, ps, p", [("cyclic:8", 1, (4.0,), 4.0),
+                                                ("dihedral:3", 2, (4.0, 4.0), 2.0)])
+def test_estimate_exposes_each_start(spec, arity, ps, p):
+    m = symbol_from_spec(build_group(spec), "random:8", arity)
+    cfg = OptimizerConfig(restarts=9, max_iterations=40, seed=1)
+    warm = [[np.ones(m.parent.order)] * arity]
+    est = estimate_norm(m, ps, p, cfg, warm_starts=warm)
+    assert len(est.restart_values) == cfg.restarts + len(warm)
+    assert max(est.restart_values) <= est.value
+    assert 0 <= est.converged_runs <= len(est.restart_values)
+    assert est.converged == (est.converged_runs > 0)
+    assert "restart_values" not in json.loads(est.to_json())
 
 
 def test_estimate_norm_p1_smoothing_flagged():

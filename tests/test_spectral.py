@@ -13,7 +13,7 @@ from ncfourier.groups import (
     convolve,
     regular_matrix,
 )
-from ncfourier.nclp import lp_norm, lp_norm_gradient, matrix_lp_norm
+from ncfourier.nclp import lp_norm, lp_norm_gradient, lp_norms, matrix_lp_norm
 from ncfourier.restriction import quotient_group
 
 PS = (1.0, 1.5, 2.0, 3.0, 4.0, math.inf)
@@ -130,9 +130,28 @@ def test_gradient_pullback_matches_dense(name):
         gmat = (u * sigma ** (p - 1.0)) @ vh
         dense = np.zeros(g.order, dtype=complex)
         np.add.at(dense, g.mul[:, g.inv], gmat)
-        value, grad = lp_norm_gradient(f, p)
+        value, grad = lp_norm_gradient(g, f.coeffs, p)
         assert value == pytest.approx(matrix_lp_norm(mat, p), rel=1e-12, abs=0)
         assert np.max(np.abs(grad - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("name", ["cyclic:96", "dihedral:4", "heisenberg:2", "nested-product",
+                                  "quotient"])
+def test_stacked_norms_match_row_by_row(name):
+    g = GROUPS[name]()
+    rows = np.array([_random_coeffs(g.order, seed=s) for s in range(5)]).reshape(5, 1, g.order)
+    for p in PS:
+        norms = lp_norms(g, rows, p)
+        assert norms.shape == (5, 1)
+        for f, value in zip(rows[:, 0], norms[:, 0]):
+            assert value == pytest.approx(lp_norm(AlgebraElement(g, f), p), rel=1e-12, abs=0)
+    for p in (1.5, 3.0):
+        values, grads = lp_norm_gradient(g, rows, p)
+        assert values.shape == (5, 1) and grads.shape == rows.shape
+        for f, value, grad in zip(rows[:, 0], values[:, 0], grads[:, 0]):
+            one_value, one_grad = lp_norm_gradient(g, f, p)
+            assert value == pytest.approx(one_value, rel=1e-12, abs=0)
+            assert np.max(np.abs(grad - one_grad)) <= 1e-12 * np.max(np.abs(one_grad))
 
 
 def test_two_builds_give_bit_identical_blocks():
