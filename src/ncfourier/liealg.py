@@ -250,34 +250,57 @@ def kak_log_profile(g: GroupMatrix) -> tuple[np.ndarray, float]:
     return h, float(h[0] - h[-1])
 
 
-def is_nilpotent_matrix(mat: np.ndarray, tol: float = 1e-9) -> bool:
-    """X^n = 0 to tolerance after scaling X to unit Frobenius norm."""
-    nrm = np.linalg.norm(mat, "fro")
-    if nrm == 0.0:
-        return True
-    scaled = mat / nrm
-    power = np.linalg.matrix_power(scaled, mat.shape[0])
-    return bool(np.linalg.norm(power, "fro") <= tol)
+def is_nilpotent_matrix(mat: np.ndarray, tol: float = 1e-9) -> bool | np.ndarray:
+    """X^n = 0 to tolerance after scaling X to unit Frobenius norm.  A
+    (..., n, n) stack gives one flag per matrix."""
+    mat = np.asarray(mat, dtype=float)
+    nrm = np.linalg.norm(mat, axis=(-2, -1), keepdims=True)
+    scaled = mat / np.where(nrm == 0.0, 1.0, nrm)
+    power = np.linalg.matrix_power(scaled, mat.shape[-1])
+    flags = np.linalg.norm(power, axis=(-2, -1)) <= tol
+    return bool(flags) if flags.ndim == 0 else flags
+
+
+def _nilpotent_orbit_dims(model: LieModel, coords: np.ndarray) -> np.ndarray:
+    """Ranks of ad_x for a (S, dim) stack of nilpotent coordinate vectors."""
+    mats = (coords @ model._flat.T).reshape(-1, model.n, model.n)
+    if not np.all(is_nilpotent_matrix(mats)):
+        raise ValueError("element is not nilpotent")
+    ads = np.einsum("si,ijk->skj", coords, model.bracket)
+    sigma = np.linalg.svd(ads, compute_uv=False)
+    top = sigma[:, :1]
+    return np.where(top[:, 0] > 0.0, np.count_nonzero(sigma > 1e-8 * top, axis=1), 0)
 
 
 def nilpotent_orbit_dim(x: AlgebraVector) -> int:
     """Dimension of the adjoint orbit through a nilpotent element: rank of ad_x."""
-    if not is_nilpotent_matrix(x.matrix()):
-        raise ValueError("element is not nilpotent")
-    sigma = np.linalg.svd(ad_operator(x), compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
-    return int(np.sum(sigma > 1e-8 * sigma[0]))
+    return int(_nilpotent_orbit_dims(x.model, x.coords[None])[0])
+
+
+def _random_nilpotent_coords(model: LieModel, rng: np.random.Generator, count: int) -> np.ndarray:
+    """(count, dim) coordinates of random strictly upper-triangular matrices,
+    each conjugated by exp of a random traceless matrix; sample i uses the
+    normals 2 i n^2 .. 2 (i + 1) n^2 - 1 of the stream (first the upper
+    triangle, then the conjugator)."""
+    from scipy.linalg import expm
+
+    n = model.n
+    draws = rng.standard_normal((count, 2, n, n))
+    upper = np.triu(draws[:, 0], 1)
+    p = draws[:, 1] * 0.3
+    p -= (np.trace(p, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
+    g = expm(p)
+    mats = g @ upper @ np.linalg.inv(g)
+    return mats.reshape(count, n * n) @ model._pinv.T
 
 
 def random_nilpotent(model: LieModel, rng: np.random.Generator) -> AlgebraVector:
     """Random strictly upper-triangular element conjugated by a random group element."""
-    n = model.n
-    upper = np.triu(rng.standard_normal((n, n)), 1)
-    p = rng.standard_normal((n, n)) * 0.3
-    p = p - np.trace(p) / n * np.eye(n)
-    g = _expm(p)
-    return model.vector_from_matrix(g @ upper @ np.linalg.inv(g))
+    return model.vector(_random_nilpotent_coords(model, rng, 1)[0])
+
+
+# samples per batched sweep step: bounds the (chunk, dim, dim) ad stack
+_SWEEP_CHUNK = 2048
 
 
 def max_nilpotent_dim(
@@ -286,7 +309,9 @@ def max_nilpotent_dim(
     """Largest nilpotent orbit dimension.
 
     For sl:n this is the orbit of the single-Jordan-block nilpotent; a
-    randomized sweep checks that no sampled nilpotent orbit exceeds it.
+    randomized sweep checks that no sampled nilpotent orbit exceeds it.  The
+    sweep runs batched, in chunks of up to ``_SWEEP_CHUNK`` samples that draw
+    the same stream as ``random_nilpotent`` called once per sample.
     Returns None for heisenberg3 (not a reductive model; the notion drives
     nothing there).
     """
@@ -296,19 +321,15 @@ def max_nilpotent_dim(
     n = model.n
     regular = np.diag(np.ones(n - 1), 1)
     d = nilpotent_orbit_dim(model.vector_from_matrix(regular))
-    for _ in range(samples):
-        cand = nilpotent_orbit_dim(random_nilpotent(model, rng))
-        if cand > d:
+    for start in range(0, samples, _SWEEP_CHUNK):
+        count = min(_SWEEP_CHUNK, samples - start)
+        dims = _nilpotent_orbit_dims(model, _random_nilpotent_coords(model, rng, count))
+        if np.any(dims > d):
+            cand = int(dims[np.argmax(dims > d)])
             raise AssertionError(
                 f"random nilpotent orbit of dimension {cand} exceeds the regular value {d}"
             )
     return d
-
-
-def _expm(mat: np.ndarray) -> np.ndarray:
-    from scipy.linalg import expm
-
-    return expm(mat)
 
 
 def exp_density(

@@ -4,8 +4,11 @@ SL(2,Z) lattice-point counting with growth-exponent fitting.
 Sampling is batched and deterministically seeded: batch b of a run with seed
 s draws from default_rng([s, b]), so results are bit-identical across reruns
 with the same seed, sample count and batch size (a different batch size
-draws different points).  The sl(2) paths (matrix exp/log, tube
-membership, Haar density) are closed-form and fully vectorized.
+draws different points).  The sl(2) paths are closed-form and vectorized: the
+tube volumes of the key lemma are sampled in the sheared plane that encloses
+the tube, not in its bounding box, and conjugation acts on coordinates
+through the 3x3 matrix of Ad, with exp and log as the two coefficients of
+e^X = c0 I + c1 X.
 """
 
 from __future__ import annotations
@@ -106,9 +109,9 @@ def _sl2_det(x: np.ndarray) -> np.ndarray:
     return -(x[:, 0] ** 2) - x[:, 1] * x[:, 2]
 
 
-def _sl2_exp(x: np.ndarray) -> np.ndarray:
-    """exp of traceless 2x2 batches: X^2 = mu^2 I with mu^2 = -det."""
-    mu2 = -_sl2_det(x)
+def _sl2_exp_coeffs(mu2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c0, c1) with exp(X) = c0 I + c1 X for traceless 2x2 X, where
+    X^2 = mu2 I (mu2 = -det X)."""
     c0 = np.empty_like(mu2)
     c1 = np.empty_like(mu2)
     pos = mu2 > 1e-12
@@ -121,34 +124,33 @@ def _sl2_exp(x: np.ndarray) -> np.ndarray:
     c1[neg] = np.sin(w[neg]) / w[neg]
     c0[mid] = 1.0 + mu2[mid] / 2.0
     c1[mid] = 1.0 + mu2[mid] / 6.0
-    out = np.empty((x.shape[0], 2, 2))
-    out[:, 0, 0] = c0 + c1 * x[:, 0]
-    out[:, 0, 1] = c1 * x[:, 1]
-    out[:, 1, 0] = c1 * x[:, 2]
-    out[:, 1, 1] = c0 - c1 * x[:, 0]
-    return out
+    return c0, c1
 
 
-def _sl2_log(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Principal log of det-1 2x2 batches; returns (coords, ok mask).
+def _sl2_log_factor(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Principal log of det-1 2x2 matrices z = alpha I + B, B traceless:
+    log z = f(alpha) B.  Returns (f, ok mask).
 
-    z = alpha I + B with B traceless; the log is f(alpha) B with
     f = arccosh(alpha)/sqrt(alpha^2-1) (alpha > 1), arccos(alpha)/sqrt(1-alpha^2)
-    (|alpha| < 1), 1 at alpha = 1.  alpha <= -1 has no principal log.
+    (|alpha| < 1), 1 at alpha = 1.  alpha <= -1 has no principal log (ok False).
     """
-    alpha = 0.5 * (z[:, 0, 0] + z[:, 1, 1])
     ok = alpha > -1.0 + 1e-12
     f = np.ones_like(alpha)
     hi = alpha > 1.0 + 1e-12
     lo = ok & (alpha < 1.0 - 1e-12)
     f[hi] = np.arccosh(alpha[hi]) / np.sqrt(alpha[hi] ** 2 - 1.0)
     f[lo] = np.arccos(alpha[lo]) / np.sqrt(1.0 - alpha[lo] ** 2)
-    coords = np.empty((z.shape[0], 3))
-    coords[:, 0] = f * 0.5 * (z[:, 0, 0] - z[:, 1, 1])
-    coords[:, 1] = f * z[:, 0, 1]
-    coords[:, 2] = f * z[:, 1, 0]
-    coords[~ok] = 0.0
-    return coords, ok
+    return f, ok
+
+
+def _sl2_conjugation(s: np.ndarray) -> np.ndarray:
+    """The 3x3 matrix of x -> s^{-1} x s = Ad_{s^{-1}} x on sl(2) coordinates."""
+    s_inv = np.linalg.inv(s)
+    cols = []
+    for x in ([[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]):
+        m = s_inv @ np.array(x) @ s
+        cols.append([0.5 * (m[0, 0] - m[1, 1]), m[0, 1], m[1, 0]])
+    return np.array(cols).T
 
 
 def _sl2_density(x: np.ndarray) -> np.ndarray:
@@ -214,19 +216,26 @@ def delta_mc(
 
         delta = int_W 1[for all s: log(s^{-1} e^x s) in W] nu(x) dx / int_W nu(x) dx.
 
-    The matrix log of each conjugate is validated by an exp-log roundtrip
-    (residual <= 1e-8); failing samples are rejected and counted, and more
-    than 1% failures aborts.  Note the numerator intersects with W itself,
-    i.e. this estimates the survival fraction of V, a lower bound for the
-    intersection over F alone (they agree when the identity is in F).
+    Points are drawn uniformly from W's bounding box and kept inside W.  The
+    conjugates act on coordinates: e^x = c0 I + c1 x, so s^{-1} e^x s is
+    c0 I + c1 Ad_{s^{-1}} x, whose principal log is f(c0) c1 Ad_{s^{-1}} x
+    with one factor f(c0) for every conjugator.  Each log is validated by its
+    exp-log roundtrip residual
+
+        sqrt(2 (c0' - c0)^2 + (c1' f c1 - c1)^2 |Ad_{s^{-1}} x|_F^2) <= 1e-8,
+
+    with (c0', c1') the exp coefficients of the log; failing samples are
+    rejected and counted, and more than 1% failures aborts.  Note the
+    numerator intersects with W itself, i.e. this estimates the survival
+    fraction of V, a lower bound for the intersection over F alone (they agree
+    when the identity is in F).
     """
     if model.name != "sl:2":
         raise NotImplementedError("vectorized sampler is sl:2 only")
     for s in F:
         if s.model.name != model.name:
             raise ValueError("conjugators live on a different model")
-    mats = np.stack([s.mat for s in F]) if F else np.zeros((0, 2, 2))
-    inv_mats = np.stack([np.linalg.inv(s.mat) for s in F]) if F else mats
+    ads = [_sl2_conjugation(s.mat) for s in F]
     radii = W.box_radius()
     numer_parts: list[np.ndarray] = []
     denom_parts: list[np.ndarray] = []
@@ -243,15 +252,21 @@ def delta_mc(
         weights = _sl2_density(pts)
         good = np.ones(pts.shape[0], dtype=bool)
         surviving = np.ones(pts.shape[0], dtype=bool)
-        if len(F):
-            expx = _sl2_exp(pts)
-            for k in range(len(F)):
-                z = np.einsum("ab,nbc,cd->nad", inv_mats[k], expx, mats[k])
-                y, ok = _sl2_log(z)
-                back = _sl2_exp(y)
-                ok &= np.linalg.norm(back - z, axis=(1, 2)) <= 1e-8
-                good &= ok
-                surviving &= W.contains_sl2(y) & ok
+        if ads:
+            c0, c1 = _sl2_exp_coeffs(-_sl2_det(pts))
+            f, ok = _sl2_log_factor(c0)
+            scale = f * c1
+            for ad in ads:
+                conj = ad @ pts.T  # Ad_{s^{-1}} x, one row per coordinate
+                y = scale * conj  # log(s^{-1} e^x s)
+                c0_back, c1_back = _sl2_exp_coeffs(y[0] ** 2 + y[1] * y[2])
+                residual = np.sqrt(
+                    2.0 * (c0_back - c0) ** 2
+                    + (c1_back * scale - c1) ** 2 * _sl2_frob2(conj.T)
+                )
+                ok_k = ok & (residual <= 1e-8)
+                good &= ok_k
+                surviving &= W.contains_sl2(y.T) & ok_k
         rejected += int(np.count_nonzero(~good))
         numer_parts.append(np.where(surviving & good, weights, 0.0))
         denom_parts.append(np.where(good, weights, 0.0))
@@ -300,7 +315,11 @@ def key_lemma_ratio(
     eps: float, R: float, rho: float, cfg: McConfig, model: LieModel | None = None
 ) -> tuple[McEstimate, float]:
     """Tube-volume scaling ratio Lambda(V_{eps, rho R}) / Lambda(V_{eps, R})
-    with propagated stderr, and the expected limit rho^{d/2} (= rho on sl:2)."""
+    with propagated stderr, and the expected limit rho^{d/2} (= rho on sl:2).
+
+    Each volume is a hit-or-miss estimate over the sheared band that encloses
+    the tube (see ``_tube_volume_mc``), where about 90% of the draws land
+    inside; the two volumes use independent streams derived from the seed."""
     model = model or build_model("sl:2")
     if model.name != "sl:2":
         raise NotImplementedError("sl:2 only")
@@ -312,14 +331,8 @@ def key_lemma_ratio(
         import warnings
 
         warnings.warn(f"eps = {eps} is large relative to R = {R}: tube is not thin")
-    big = Neighborhood("tube", (eps, rho * R))
-    small = Neighborhood("tube", (eps, R))
-    est_big = volume_mc(
-        big.contains_sl2, 3, big.box_radius(), McConfig(cfg.samples, _derive(cfg.seed, 0), cfg.batch)
-    )
-    est_small = volume_mc(
-        small.contains_sl2, 3, small.box_radius(), McConfig(cfg.samples, _derive(cfg.seed, 1), cfg.batch)
-    )
+    est_big = _tube_volume_mc(eps, rho * R, McConfig(cfg.samples, _derive(cfg.seed, 0), cfg.batch))
+    est_small = _tube_volume_mc(eps, R, McConfig(cfg.samples, _derive(cfg.seed, 1), cfg.batch))
     ratio = est_big.mean / est_small.mean
     rel = math.sqrt(
         (est_big.stderr / est_big.mean) ** 2 + (est_small.stderr / est_small.mean) ** 2
@@ -328,6 +341,28 @@ def key_lemma_ratio(
         ratio, ratio * rel, 2 * cfg.samples, cfg.seed, est_big.hits + est_small.hits
     )
     return est, rho ** 1.0  # d/2 = 1 for sl(2)
+
+
+def _tube_volume_mc(eps: float, R: float, cfg: McConfig) -> McEstimate:
+    """Hit-or-miss volume of the sl(2) tube {2|det x| < eps^2, |x|_F < R}.
+
+    In y = sqrt2 x1, a = (x2+x3)/sqrt2, b = (x2-x3)/sqrt2 the tube is
+    {|s - b^2| < eps^2, s + b^2 < R^2} with s = y^2 + a^2.  The angle of
+    (y, a) integrates out to pi (dy da = ds dtheta / 2) and dx = dy da db / sqrt2,
+    so the volume is pi/sqrt2 times the area of the (s, b) region.  The shear
+    u = s - b^2 has Jacobian 1 and maps that region to
+    {u + b^2 >= 0, u + 2 b^2 < R^2} inside the band
+    |b| <= sqrt((R^2 + eps^2)/2), |u| < eps^2, which is where points are drawn.
+    """
+    e2, r2 = eps * eps, R * R
+
+    def inside(pts: np.ndarray) -> np.ndarray:
+        b2 = pts[:, 0] ** 2
+        return (pts[:, 1] + b2 >= 0.0) & (pts[:, 1] + 2.0 * b2 < r2)
+
+    est = volume_mc(inside, 2, [math.sqrt((r2 + e2) / 2.0), e2], cfg)
+    scale = math.pi / math.sqrt(2.0)
+    return McEstimate(scale * est.mean, scale * est.stderr, est.samples, est.seed, est.hits)
 
 
 def _derive(seed: int, stream: int) -> int:
@@ -420,8 +455,12 @@ def sl2z_count(rho: float) -> int:
 
     On SL(2) the adjoint norm is sigma_1/sigma_2 = sigma_1^2, and with
     sigma_1^2 sigma_2^2 = 1 membership reduces to the exact test
-    a^2 + b^2 + c^2 + d^2 <= rho + 1/rho.  Enumeration runs over coprime top
-    rows (a, b) with the bottom row solved from the determinant equation.
+    a^2 + b^2 + c^2 + d^2 <= rho + 1/rho.  The coprime top rows (a, b) are
+    enumerated as arrays; the bottom rows solving a d - b c = 1 are
+    (c0 + t a, d0 + t b) for one particular solution (c0, d0) and integer t,
+    and the t in the ball form an interval.  Its endpoints come from the
+    float roots of the quadratic in t and are moved inwards until they pass
+    the exact integer test.
     """
     if rho < 1.0:
         return 0
@@ -429,44 +468,53 @@ def sl2z_count(rho: float) -> int:
         raise ValueError("radius capped at 10^4")
     t_max = rho + 1.0 / rho
     bound = int(math.isqrt(int(t_max)))
-    total = 0
-    for a in range(-bound, bound + 1):
-        for b in range(-bound, bound + 1):
-            if a * a + b * b > t_max:
-                continue
-            if math.gcd(a, b) != 1:
-                continue
-            # particular solution of a d - b c = 1; generic (c,d) = (c0+ta, d0+tb)
-            g, u, v = _ext_gcd(a, b)
-            if g < 0:
-                u, v = -u, -v
-            d0, c0 = u, -v
-            qa = a * a + b * b
-            qb = 2.0 * (a * c0 + b * d0)
-            qc = a * a + b * b + c0 * c0 + d0 * d0 - t_max
-            disc = qb * qb - 4.0 * qa * qc
-            if disc < 0:
-                continue
-            lo = (-qb - math.sqrt(disc)) / (2.0 * qa)
-            hi = (-qb + math.sqrt(disc)) / (2.0 * qa)
-            t_lo, t_hi = math.ceil(lo - 1e-12), math.floor(hi + 1e-12)
-            for t in range(t_lo, t_hi + 1):
-                c, d = c0 + t * a, d0 + t * b
-                if a * a + b * b + c * c + d * d <= t_max + 1e-9:
-                    total += 1
-    return total
+    a, b = np.meshgrid(np.arange(-bound, bound + 1), np.arange(-bound, bound + 1), indexing="ij")
+    a, b = a.ravel(), b.ravel()
+    qa = a * a + b * b
+    keep = (qa <= t_max) & (np.gcd(a, b) == 1)
+    a, b, qa = a[keep], b[keep], qa[keep]
+    # particular solution of a d - b c = 1; generic (c,d) = (c0+ta, d0+tb)
+    g, u, v = _ext_gcd(a, b)
+    sign = np.where(g < 0, -1, 1)
+    d0, c0 = sign * u, -sign * v
+    qb = 2.0 * (a * c0 + b * d0)
+    qc = (qa + c0 * c0 + d0 * d0) - t_max
+    disc = qb * qb - 4.0 * qa * qc
+    real = disc >= 0
+    a, b, c0, d0, qa, qb = a[real], b[real], c0[real], d0[real], qa[real], qb[real]
+    root = np.sqrt(disc[real])
+    lo = np.ceil((-qb - root) / (2.0 * qa) - 1e-12).astype(np.int64)
+    hi = np.floor((-qb + root) / (2.0 * qa) + 1e-12).astype(np.int64)
+
+    def inside(t: np.ndarray) -> np.ndarray:
+        c, d = c0 + t * a, d0 + t * b
+        return qa + c * c + d * d <= t_max + 1e-9
+
+    # the exact set is an interval in t, so shrinking both ends finds it
+    while True:
+        nonempty = lo <= hi
+        move_lo = nonempty & ~inside(lo)
+        move_hi = nonempty & ~inside(hi)
+        if not (move_lo.any() or move_hi.any()):
+            break
+        lo = lo + move_lo
+        hi = hi - move_hi
+    return int(np.maximum(hi - lo + 1, 0).sum())
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """g, u, v with a u + b v = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
+def _ext_gcd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elementwise g, u, v with a u + b v = g = +-gcd(a, b), by the Euclidean
+    recurrence with floor division."""
+    old_r, r = a.copy(), b.copy()
+    old_u, u = np.ones_like(a), np.zeros_like(a)
+    old_v, v = np.zeros_like(a), np.ones_like(a)
+    while np.any(r):
+        live = r != 0
+        q = np.zeros_like(a)
+        q[live] = old_r[live] // r[live]
+        old_r, r = np.where(live, r, old_r), np.where(live, old_r - q * r, r)
+        old_u, u = np.where(live, u, old_u), np.where(live, old_u - q * u, u)
+        old_v, v = np.where(live, v, old_v), np.where(live, old_v - q * v, v)
     return old_r, old_u, old_v
 
 

@@ -116,6 +116,10 @@ def hertz_schur_transference_residual(
 
 def bump_element(group: FiniteGroup, radius: int, width: float) -> AlgebraElement:
     """Positive coefficient bump supported on {-radius..radius} mod L."""
+    if radius < 0:
+        raise ValueError(f"bump radius must be >= 0, got {radius}")
+    if not 0.0 < width < math.inf:
+        raise ValueError(f"bump width must be positive and finite, got {width}")
     L = group.order
     coeffs = np.zeros(L, dtype=complex)
     for k in range(-radius, radius + 1):

@@ -153,6 +153,11 @@ def test_usage_errors():
     ["delta-mc", "--group", "cyclic:4"],
     ["lattice-maps", "--group", "cyclic:64", "--stride", "0"],
     ["transference", "--alpha", "-2"],
+    ["transference", "--width", "0"],
+    ["transference", "--width", "-1.5"],
+    ["transference", "--width", "nan"],
+    ["transference", "--width", "inf"],
+    ["transference", "--support", "-3"],
     ["key-lemma", "--rho", "2", "--R", "0.5", "--eps", "0.1", "--samples", "10000",
      "--batch", "-5"],
     ["orbit-dim", "--model", "sl:3", "--sweep", "-5"],

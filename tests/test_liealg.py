@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from ncfourier import liealg
 from ncfourier.liealg import (
     GroupMatrix,
     ad_operator,
@@ -20,6 +21,8 @@ from ncfourier.liealg import (
     orbit_min_norm,
     random_nilpotent,
     random_special_orthogonal,
+    _nilpotent_orbit_dims,
+    _random_nilpotent_coords,
 )
 
 
@@ -184,6 +187,60 @@ def test_max_nilpotent_dims_and_runtime():
         assert max_nilpotent_dim(model, np.random.default_rng(1), samples=200) == d
     assert time.time() - t0 < 5.0
     assert max_nilpotent_dim(build_model("heisenberg3")) is None
+
+
+def _sequential_orbit_dims(model, rng, samples):
+    """The per-sample loop of the nilpotent sweep: one random nilpotent at a
+    time (scipy expm of one matrix), its nilpotency test and the rank of ad_x."""
+    n = model.n
+    dims = []
+    for _ in range(samples):
+        upper = np.triu(rng.standard_normal((n, n)), 1)
+        p = rng.standard_normal((n, n)) * 0.3
+        p = p - np.trace(p) / n * np.eye(n)
+        g = expm(p)
+        x = model.vector_from_matrix(g @ upper @ np.linalg.inv(g))
+        mat = x.matrix()
+        power = np.linalg.matrix_power(mat / np.linalg.norm(mat, "fro"), n)
+        assert np.linalg.norm(power, "fro") <= 1e-9
+        sigma = np.linalg.svd(ad_operator(x), compute_uv=False)
+        dims.append(int(np.sum(sigma > 1e-8 * sigma[0])))
+    return dims
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_batched_sweep_matches_sequential_oracle(n):
+    model = build_model(f"sl:{n}")
+    for seed in (0, 1, 7):
+        want = _sequential_orbit_dims(model, np.random.default_rng(seed), 300)
+        got = _nilpotent_orbit_dims(
+            model, _random_nilpotent_coords(model, np.random.default_rng(seed), 300)
+        )
+        assert got.tolist() == want
+
+
+def test_sweep_chunks_draw_one_stream(monkeypatch):
+    monkeypatch.setattr(liealg, "_SWEEP_CHUNK", 7)
+    model = build_model("sl:3")
+    swept, drawn = np.random.default_rng(5), np.random.default_rng(5)
+    assert max_nilpotent_dim(model, swept, samples=20) == 6
+    drawn.standard_normal((20, 2, 3, 3))
+    assert swept.random() == drawn.random()
+
+
+def test_sweep_rejects_a_larger_orbit(monkeypatch):
+    # the first sampled orbit above the regular dimension is reported
+    real = liealg._nilpotent_orbit_dims
+
+    def bumped(model, coords):
+        dims = real(model, coords)
+        if len(coords) > 1:
+            dims[3:] += np.arange(1, len(coords) - 2)
+        return dims
+
+    monkeypatch.setattr(liealg, "_nilpotent_orbit_dims", bumped)
+    with pytest.raises(AssertionError, match="dimension 7 exceeds the regular value 6"):
+        max_nilpotent_dim(build_model("sl:3"), np.random.default_rng(0), samples=10)
 
 
 def test_exp_density_fixtures(sl2):

@@ -8,8 +8,13 @@ from ncfourier.liealg import GroupMatrix, adjoint_norm, build_model
 from ncfourier.montecarlo import (
     SL2Z_LOG_POWER,
     CountSeries,
+    LogFailureError,
     McConfig,
+    McEstimate,
     Neighborhood,
+    _sl2_density,
+    _sl2_det,
+    _tube_volume_mc,
     delta_lower_bound_check,
     delta_mc,
     delta_mc_finite,
@@ -238,20 +243,212 @@ def test_growth_fit_on_real_counts():
 
 
 def test_sl2_log_rejects_branch_point():
-    from ncfourier.montecarlo import _sl2_exp, _sl2_log
+    from ncfourier.montecarlo import _sl2_exp_coeffs, _sl2_log_factor
 
     # rotation by pi has half-trace -1: no principal log
-    z = np.array([[[-1.0, 0.0], [0.0, -1.0]]])
-    _, ok = _sl2_log(z)
+    _, ok = _sl2_log_factor(np.array([-1.0]))
     assert not ok[0]
     # a safe rotation roundtrips through the closed forms exactly
-    coords = np.array([[0.0, 1.2, -1.2]])
-    z2 = _sl2_exp(coords)
-    back, ok2 = _sl2_log(z2)
+    coords = np.array([0.0, 1.2, -1.2])
+    c0, c1 = _sl2_exp_coeffs(np.array([-(1.2 ** 2)]))
+    f, ok2 = _sl2_log_factor(c0)
     assert ok2[0]
-    assert np.max(np.abs(back - coords)) <= 1e-12
+    assert np.max(np.abs(f * c1 * coords - coords)) <= 1e-12
 
 
 def test_key_lemma_thick_tube_warns():
     with pytest.warns(UserWarning):
         key_lemma_ratio(0.2, 0.5, 2.0, McConfig(10 ** 4, 1, 10 ** 4))
+
+
+# ---------------------------------------------------------------------------
+# oracles: the matrix exp/log path of delta_mc, the sequential SL(2,Z) count
+# and the exact sl(2) tube volume
+
+
+def _matrix_exp(x):
+    """exp of traceless 2x2 batches given by coordinates, as matrices."""
+    mu2 = -_sl2_det(x)
+    c0 = np.empty_like(mu2)
+    c1 = np.empty_like(mu2)
+    pos = mu2 > 1e-12
+    neg = mu2 < -1e-12
+    mid = ~(pos | neg)
+    w = np.sqrt(np.abs(mu2))
+    c0[pos] = np.cosh(w[pos])
+    c1[pos] = np.sinh(w[pos]) / w[pos]
+    c0[neg] = np.cos(w[neg])
+    c1[neg] = np.sin(w[neg]) / w[neg]
+    c0[mid] = 1.0 + mu2[mid] / 2.0
+    c1[mid] = 1.0 + mu2[mid] / 6.0
+    out = np.empty((x.shape[0], 2, 2))
+    out[:, 0, 0] = c0 + c1 * x[:, 0]
+    out[:, 0, 1] = c1 * x[:, 1]
+    out[:, 1, 0] = c1 * x[:, 2]
+    out[:, 1, 1] = c0 - c1 * x[:, 0]
+    return out
+
+
+def _matrix_log(z):
+    """Principal log of det-1 2x2 matrix batches: (coordinates, ok mask)."""
+    alpha = 0.5 * (z[:, 0, 0] + z[:, 1, 1])
+    ok = alpha > -1.0 + 1e-12
+    f = np.ones_like(alpha)
+    hi = alpha > 1.0 + 1e-12
+    lo = ok & (alpha < 1.0 - 1e-12)
+    f[hi] = np.arccosh(alpha[hi]) / np.sqrt(alpha[hi] ** 2 - 1.0)
+    f[lo] = np.arccos(alpha[lo]) / np.sqrt(1.0 - alpha[lo] ** 2)
+    coords = np.empty((z.shape[0], 3))
+    coords[:, 0] = f * 0.5 * (z[:, 0, 0] - z[:, 1, 1])
+    coords[:, 1] = f * z[:, 0, 1]
+    coords[:, 2] = f * z[:, 1, 0]
+    coords[~ok] = 0.0
+    return coords, ok
+
+
+def _matrix_delta_mc(model, F, W, cfg):
+    """delta_mc through 2x2 matrices: conjugate e^x by each s, take the
+    principal log and check the exp-log roundtrip.  Returns the estimate and
+    the number of rejected samples."""
+    mats = np.stack([s.mat for s in F])
+    inv_mats = np.stack([np.linalg.inv(s.mat) for s in F])
+    radii = W.box_radius()
+    numer_parts, denom_parts = [], []
+    hits = rejected = 0
+    for b in range(cfg.samples // cfg.batch):
+        rng = np.random.default_rng([cfg.seed, b])
+        pts = rng.uniform(-radii, radii, size=(cfg.batch, 3))
+        pts = pts[W.contains_sl2(pts)]
+        if pts.shape[0] == 0:
+            continue
+        hits += pts.shape[0]
+        weights = _sl2_density(pts)
+        good = np.ones(pts.shape[0], dtype=bool)
+        surviving = np.ones(pts.shape[0], dtype=bool)
+        expx = _matrix_exp(pts)
+        for k in range(len(F)):
+            z = np.einsum("ab,nbc,cd->nad", inv_mats[k], expx, mats[k])
+            y, ok = _matrix_log(z)
+            ok &= np.linalg.norm(_matrix_exp(y) - z, axis=(1, 2)) <= 1e-8
+            good &= ok
+            surviving &= W.contains_sl2(y) & ok
+        rejected += int(np.count_nonzero(~good))
+        numer_parts.append(np.where(surviving & good, weights, 0.0))
+        denom_parts.append(np.where(good, weights, 0.0))
+    if hits and rejected > 0.01 * hits:
+        raise LogFailureError(f"{rejected} of {hits} samples failed the log roundtrip")
+    a = np.concatenate(numer_parts)
+    bw = np.concatenate(denom_parts)
+    den = float(bw.sum())
+    ratio = float(a.sum()) / den
+    stderr = math.sqrt(float(np.sum((a - ratio * bw) ** 2))) / den
+    return McEstimate(ratio, stderr, cfg.samples, cfg.seed, hits), rejected
+
+
+@pytest.mark.parametrize("spec", [
+    "tube:0.1,0.5", "tube:0.05,0.5", "tube:0.025,0.5", "ball:0.1", "ball:1", "ball:3.2",
+])
+def test_delta_mc_matches_matrix_path_bit_for_bit(spec):
+    # below |x|_F = pi sqrt2 no rotation angle reaches the log's branch point
+    model = build_model("sl:2")
+    W = Neighborhood.parse(spec)
+    for seed, rho in ((0, 2.0), (1, 4.0)):
+        F = sample_adjoint_ball_sl2(model, rho, 3, np.random.default_rng([seed, 17]))
+        cfg = McConfig(2 * 10 ** 5, seed, 10 ** 5)
+        want, rejected = _matrix_delta_mc(model, F, W, cfg)
+        assert rejected == 0 and want.hits > 0
+        assert delta_mc(model, F, W, cfg) == want
+
+
+def test_delta_mc_at_the_principal_log_branch_point():
+    # ball:5 holds elliptic x whose rotation angle is near pi, where the log
+    # is ill-conditioned and both paths reject samples; those carry the Haar
+    # weight (sin w / w)^2 ~ 0, so the estimates still agree
+    model = build_model("sl:2")
+    F = sample_adjoint_ball_sl2(model, 2.0, 3, np.random.default_rng(3))
+    cfg = McConfig(5 * 10 ** 5, 3, 5 * 10 ** 5)
+    W = Neighborhood.parse("ball:5")
+    want, rejected = _matrix_delta_mc(model, F, W, cfg)
+    assert rejected > 0
+    got = delta_mc(model, F, W, cfg)
+    assert got.hits == want.hits
+    assert got.mean == pytest.approx(want.mean, rel=1e-12)
+    assert got.stderr == pytest.approx(want.stderr, rel=1e-12)
+
+
+def test_delta_mc_aborts_on_log_failures():
+    # on ball:30, e^x reaches cosh(21): more than 1% of the roundtrips miss
+    # the absolute 1e-8 residual and both paths abort
+    model = build_model("sl:2")
+    F = sample_adjoint_ball_sl2(model, 2.0, 3, np.random.default_rng(3))
+    cfg = McConfig(10 ** 5, 3, 10 ** 5)
+    W = Neighborhood.parse("ball:30")
+    with pytest.raises(LogFailureError):
+        _matrix_delta_mc(model, F, W, cfg)
+    with pytest.raises(LogFailureError):
+        delta_mc(model, F, W, cfg)
+
+
+def _sequential_sl2z_count(rho):
+    """sl2z_count as a scalar double loop over the top rows (a, b)."""
+    t_max = rho + 1.0 / rho
+    bound = int(math.isqrt(int(t_max)))
+    total = 0
+    for a in range(-bound, bound + 1):
+        for b in range(-bound, bound + 1):
+            if a * a + b * b > t_max or math.gcd(a, b) != 1:
+                continue
+            g, u, v = _ext_gcd_local(a, b)
+            if g < 0:
+                u, v = -u, -v
+            d0, c0 = u, -v
+            qa = a * a + b * b
+            qb = 2.0 * (a * c0 + b * d0)
+            qc = a * a + b * b + c0 * c0 + d0 * d0 - t_max
+            disc = qb * qb - 4.0 * qa * qc
+            if disc < 0:
+                continue
+            lo = (-qb - math.sqrt(disc)) / (2.0 * qa)
+            hi = (-qb + math.sqrt(disc)) / (2.0 * qa)
+            for t in range(math.ceil(lo - 1e-12), math.floor(hi + 1e-12) + 1):
+                c, d = c0 + t * a, d0 + t * b
+                if a * a + b * b + c * c + d * d <= t_max + 1e-9:
+                    total += 1
+    return total
+
+
+@pytest.mark.parametrize("rho", [1.0, 1.5, 2.0, 100.0, 999.5, 2500.0, 7321.0, 1e4])
+def test_sl2z_count_matches_sequential_oracle(rho):
+    assert sl2z_count(rho) == _sequential_sl2z_count(rho)
+
+
+def _exact_tube_volume(eps, R):
+    """Volume of {x in sl(2) : 2|det x| < eps^2, |x|_F < R}: pi/sqrt2 times the
+    area of {(s, b) : s >= 0, |s - b^2| < eps^2, s + b^2 < R^2}.  For b >= 0
+    the width in s is b^2 + eps^2 up to eps, 2 eps^2 up to
+    b1 = sqrt((R^2 - eps^2)/2) and R^2 + eps^2 - 2 b^2 up to
+    b2 = sqrt((R^2 + eps^2)/2) (this order needs 3 eps^2 <= R^2)."""
+    e2, r2 = eps * eps, R * R
+    assert 3.0 * e2 <= r2
+    b1, b2 = math.sqrt((r2 - e2) / 2.0), math.sqrt((r2 + e2) / 2.0)
+    half = (4.0 / 3.0) * eps ** 3 + 2.0 * e2 * (b1 - eps) + (r2 + e2) * (b2 - b1) \
+        - (2.0 / 3.0) * (b2 ** 3 - b1 ** 3)
+    return math.pi / math.sqrt(2.0) * 2.0 * half
+
+
+def test_tube_volume_matches_closed_form():
+    for i, (eps, want) in enumerate(((0.1, 0.028452), (0.05, 0.0074837), (0.025, 0.0019172))):
+        exact = _exact_tube_volume(eps, 0.5)
+        assert exact == pytest.approx(want, rel=1e-4)
+        est = _tube_volume_mc(eps, 0.5, McConfig(10 ** 6, 7 + i, 10 ** 6))
+        assert abs(est.mean - exact) <= 4.0 * est.stderr
+        assert est.hits > 0.85 * est.samples  # the band hugs the tube
+
+
+@pytest.mark.parametrize("rho", [2.0, 4.0])
+@pytest.mark.parametrize("eps", [0.1, 0.05, 0.025])
+def test_key_lemma_ratio_within_4_stderr_of_exact(eps, rho):
+    exact = _exact_tube_volume(eps, rho * 0.5) / _exact_tube_volume(eps, 0.5)
+    for seed in range(5):
+        est, _ = key_lemma_ratio(eps, 0.5, rho, McConfig(2 * 10 ** 5, seed, 10 ** 5))
+        assert abs(est.mean - exact) <= 4.0 * est.stderr
