@@ -291,7 +291,7 @@ def cmd_key_lemma(args) -> int:
         extrapolated = 2.0 * ratios[-1].mean - ratios[-2].mean
         rows.append(["extrapolated", repr(args.R), repr(args.rho), repr(extrapolated),
                      repr(math.hypot(2.0 * ratios[-1].stderr, ratios[-2].stderr)),
-                     args.samples, args.seed])
+                     ratios[-1].samples + ratios[-2].samples, args.seed])
     _write_csv(args.out, ["eps", "R", "rho", "ratio", "stderr", "samples", "seed"], rows)
     _report_line("tube-volume scaling ratio", within,
                  f"final ratio {final.mean:.4f} vs rho = {args.rho} (10% band)")
@@ -579,7 +579,7 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"untestable configuration: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, mc.LogFailureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

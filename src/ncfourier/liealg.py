@@ -277,19 +277,54 @@ def nilpotent_orbit_dim(x: AlgebraVector) -> int:
     return int(_nilpotent_orbit_dims(x.model, x.coords[None])[0])
 
 
+# Pade-13 numerator coefficients and the 1-norm up to which degree 13 needs no
+# squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005, Table 2.3)
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp of every matrix in a (S, n, n) stack by scaling and squaring with the
+    degree-13 Pade approximant (Higham 2005): matrix i is scaled by 2^-s_i with
+    s_i the least s >= 0 that brings its 1-norm to <= theta_13, the whole stack
+    is approximated by stacked products and one batched solve, and each result
+    is squared s_i times."""
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)
+    with np.errstate(divide="ignore"):
+        s = np.maximum(0, np.ceil(np.log2(norms / _THETA13))).astype(int)
+    a = a / np.exp2(s)[:, None, None]
+    b = _PADE13
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(int(s.max(initial=0))):
+        more = s > k
+        r[more] = r[more] @ r[more]
+    return r
+
+
 def _random_nilpotent_coords(model: LieModel, rng: np.random.Generator, count: int) -> np.ndarray:
     """(count, dim) coordinates of random strictly upper-triangular matrices,
     each conjugated by exp of a random traceless matrix; sample i uses the
     normals 2 i n^2 .. 2 (i + 1) n^2 - 1 of the stream (first the upper
-    triangle, then the conjugator)."""
-    from scipy.linalg import expm
-
+    triangle, then the conjugator).  The exponentials of all count conjugators
+    come from one batched scaling-and-squaring call (``_expm``)."""
     n = model.n
     draws = rng.standard_normal((count, 2, n, n))
     upper = np.triu(draws[:, 0], 1)
     p = draws[:, 1] * 0.3
     p -= (np.trace(p, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
-    g = expm(p)
+    g = _expm(p)
     mats = g @ upper @ np.linalg.inv(g)
     return mats.reshape(count, n * n) @ model._pinv.T
 

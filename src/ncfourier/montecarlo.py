@@ -4,7 +4,10 @@ SL(2,Z) lattice-point counting with growth-exponent fitting.
 Sampling is batched and deterministically seeded: batch b of a run with seed
 s draws from default_rng([s, b]), so results are bit-identical across reruns
 with the same seed, sample count and batch size (a different batch size
-draws different points).  The sl(2) paths are closed-form and vectorized: the
+draws different points).  Each batch is drawn and filtered in blocks of a few
+thousand rows that stay in cache; the blocks continue one stream, so the
+points are those of a single draw of the whole batch, and memory no longer
+grows with the batch size.  The sl(2) paths are closed-form and vectorized: the
 tube volumes of the key lemma are sampled in the sheared plane that encloses
 the tube, not in its bounding box, and conjugation acts on coordinates
 through the 3x3 matrix of Ad, with exp and log as the two coefficients of
@@ -84,14 +87,36 @@ def volume_mc(oracle, dim: int, box_radius, cfg: McConfig) -> McEstimate:
     vol_box = float(np.prod(2.0 * radii))
     hits = 0
     for b in range(cfg.samples // cfg.batch):
-        rng = np.random.default_rng([cfg.seed, b])
-        pts = rng.uniform(-radii, radii, size=(cfg.batch, dim))
-        hits += int(np.count_nonzero(oracle(pts)))
+        for _, mask in _box_blocks(oracle, radii, cfg, b):
+            hits += int(np.count_nonzero(mask))
     phat = hits / cfg.samples
     stderr = vol_box * math.sqrt(phat * (1.0 - phat) / cfg.samples)
     if hits == 0:
         stderr = vol_box / cfg.samples
     return McEstimate(phat * vol_box, stderr, cfg.samples, cfg.seed, hits)
+
+
+# rows per drawn block: a block of sl(2) points and its masks fit in L2 cache
+_BLOCK = 1 << 13
+
+
+def _box_blocks(inside, radii: np.ndarray, cfg: McConfig, b: int):
+    """Batch b of a box-sampling run as (points, inside(points)) blocks.
+
+    The batch is the first cfg.batch * dim doubles of default_rng([cfg.seed, b]),
+    drawn ``_BLOCK`` rows at a time and mapped to the box prod [-r_i, r_i] as
+    Generator.uniform maps them (low + (high - low) u, in that rounding), so
+    the blocks stack to rng.uniform(-radii, radii, (cfg.batch, dim)), bit for
+    bit.
+    """
+    rng = np.random.default_rng([cfg.seed, b])
+    low = -radii
+    width = radii - low
+    for start in range(0, cfg.batch, _BLOCK):
+        u = rng.random((min(_BLOCK, cfg.batch - start), len(radii)))
+        u *= width
+        u += low
+        yield u, inside(u)
 
 
 # ---------------------------------------------------------------------------
@@ -112,18 +137,16 @@ def _sl2_det(x: np.ndarray) -> np.ndarray:
 def _sl2_exp_coeffs(mu2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(c0, c1) with exp(X) = c0 I + c1 X for traceless 2x2 X, where
     X^2 = mu2 I (mu2 = -det X)."""
-    c0 = np.empty_like(mu2)
-    c1 = np.empty_like(mu2)
     pos = mu2 > 1e-12
     neg = mu2 < -1e-12
-    mid = ~(pos | neg)
     w = np.sqrt(np.abs(mu2))
-    c0[pos] = np.cosh(w[pos])
-    c1[pos] = np.sinh(w[pos]) / w[pos]
-    c0[neg] = np.cos(w[neg])
-    c1[neg] = np.sin(w[neg]) / w[neg]
-    c0[mid] = 1.0 + mu2[mid] / 2.0
-    c1[mid] = 1.0 + mu2[mid] / 6.0
+    c0 = 1.0 + mu2 / 2.0  # |mu2| <= 1e-12
+    c1 = 1.0 + mu2 / 6.0
+    np.cosh(w, out=c0, where=pos)
+    np.sinh(w, out=c1, where=pos)
+    np.cos(w, out=c0, where=neg)
+    np.sin(w, out=c1, where=neg)
+    np.divide(c1, w, out=c1, where=pos | neg)
     return c0, c1
 
 
@@ -135,11 +158,15 @@ def _sl2_log_factor(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     (|alpha| < 1), 1 at alpha = 1.  alpha <= -1 has no principal log (ok False).
     """
     ok = alpha > -1.0 + 1e-12
-    f = np.ones_like(alpha)
     hi = alpha > 1.0 + 1e-12
     lo = ok & (alpha < 1.0 - 1e-12)
-    f[hi] = np.arccosh(alpha[hi]) / np.sqrt(alpha[hi] ** 2 - 1.0)
-    f[lo] = np.arccos(alpha[lo]) / np.sqrt(1.0 - alpha[lo] ** 2)
+    f = np.ones_like(alpha)
+    np.arccosh(alpha, out=f, where=hi)
+    np.arccos(alpha, out=f, where=lo)
+    # |alpha^2 - 1| is 1 - alpha^2 on lo: rounding is symmetric under negation
+    root = np.abs(np.square(alpha) - 1.0)
+    np.sqrt(root, out=root)
+    np.divide(f, root, out=f, where=hi | lo)
     return f, ok
 
 
@@ -157,14 +184,16 @@ def _sl2_density(x: np.ndarray) -> np.ndarray:
     """Haar density nu in exponential coordinates: (sinh mu / mu)^2 with
     mu^2 = x1^2 + x2 x3 (trigonometric for negative mu^2)."""
     mu2 = -_sl2_det(x)
-    out = np.empty_like(mu2)
     pos = mu2 > 1e-12
     neg = mu2 < -1e-12
-    mid = ~(pos | neg)
+    big = pos | neg
     w = np.sqrt(np.abs(mu2))
-    out[pos] = (np.sinh(w[pos]) / w[pos]) ** 2
-    out[neg] = (np.sin(w[neg]) / w[neg]) ** 2
-    out[mid] = 1.0 + mu2[mid] / 3.0
+    out = 1.0 + mu2 / 3.0  # |mu2| <= 1e-12
+    ratio = np.empty_like(mu2)
+    np.sinh(w, out=ratio, where=pos)
+    np.sin(w, out=ratio, where=neg)
+    np.divide(ratio, w, out=ratio, where=big)
+    np.square(ratio, out=out, where=big)
     return out
 
 
@@ -242,10 +271,8 @@ def delta_mc(
     hits = 0
     rejected = 0
     for b in range(cfg.samples // cfg.batch):
-        rng = np.random.default_rng([cfg.seed, b])
-        pts = rng.uniform(-radii, radii, size=(cfg.batch, 3))
-        in_w = W.contains_sl2(pts)
-        pts = pts[in_w]
+        blocks = _box_blocks(W.contains_sl2, radii, cfg, b)
+        pts = np.concatenate([u[in_w] for u, in_w in blocks])
         if pts.shape[0] == 0:
             continue
         hits += pts.shape[0]
@@ -520,14 +547,22 @@ def _ext_gcd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
 
 def growth_fit(series: CountSeries, log_power: int = 1) -> CountSeries:
     """Least-squares exponent of count ~ rho^e (log rho)^log_power: slope of
-    log(count / (log rho)^log_power) against log rho, residual reported."""
+    log(count / (log rho)^log_power) against log rho, residual reported.
+
+    At log power 0 no log(log rho) term enters, so any radius > 0 fits; any
+    other log power needs every radius > 1, where log log rho is finite."""
     if len(series.radii) < 5:
         raise ValueError("need at least five radii spanning the fit range")
-    x = np.log(np.asarray(series.radii, dtype=float))
+    radii = np.asarray(series.radii, dtype=float)
     counts = np.asarray(series.counts, dtype=float)
     if np.any(counts <= 0):
         raise ValueError("counts must be positive for the log fit")
-    y = np.log(counts) - log_power * np.log(x)
+    if log_power and np.any(radii <= 1.0):
+        raise ValueError(f"log power {log_power} needs every radius > 1")
+    x = np.log(radii)
+    y = np.log(counts)
+    if log_power:
+        y -= log_power * np.log(x)
     coeffs, residuals, *_ = np.polyfit(x, y, 1, full=True)
     series.fitted_exponent = float(coeffs[0])
     rss = float(residuals[0]) if len(residuals) else 0.0

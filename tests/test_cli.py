@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import pytest
 
@@ -92,6 +94,9 @@ def test_key_lemma_command_small(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "eps,R,rho,ratio,stderr,samples,seed"
     assert len(lines) == 4  # two eps rows + extrapolation row
+    # each ratio draws two volumes; the extrapolation rests on both ratios
+    samples = [int(line.split(",")[5]) for line in lines[1:]]
+    assert samples == [400000, 400000, 800000]
 
 
 def test_key_lemma_default_batch_divides_samples(tmp_path):
@@ -131,6 +136,18 @@ def test_lattice_count_fit(tmp_path):
     assert 0.85 <= float(value) <= 1.15
 
 
+def test_lattice_count_fit_through_radius_one(tmp_path):
+    # at log power 0 no log(log rho) enters, so rho = 1 fits like any radius
+    out = tmp_path / "counts.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        run(["lattice-count", "--radii", "1,1.5,2,100,999.5,2500,7321,10000",
+             "--out", str(out)])
+    label, value = out.read_text().strip().split("\n")[-1].split(",")
+    assert label == "fitted_exponent"
+    assert math.isfinite(float(value))
+
+
 def test_transference_command():
     assert run(["transference", "--L", "256", "--alpha", "8,16,32",
                 "--support", "4", "--seed", "7"]) == 0
@@ -166,6 +183,9 @@ def test_usage_errors():
     ["identity-check", "--group", "cyclic:4", "--trials", "0"],
     ["periodize", "--group", "cyclic:4", "--normal-subgroup", "indices:0,2", "--trials", "0"],
     ["lattice-maps", "--group", "cyclic:64", "--stride", "8", "--trials", "-3"],
+    # e^x reaches cosh(21) on ball:30: over 1% of the log roundtrips fail
+    ["delta-mc", "--model", "sl:2", "--rho", "3", "--F-count", "2", "--W", "ball:30",
+     "--samples", "100000", "--seed", "4"],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert run(argv) == 2

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ncfourier import montecarlo
 from ncfourier.groups import build_group
 from ncfourier.liealg import GroupMatrix, adjoint_norm, build_model
 from ncfourier.montecarlo import (
@@ -14,6 +16,8 @@ from ncfourier.montecarlo import (
     Neighborhood,
     _sl2_density,
     _sl2_det,
+    _sl2_exp_coeffs,
+    _sl2_log_factor,
     _tube_volume_mc,
     delta_lower_bound_check,
     delta_mc,
@@ -223,6 +227,13 @@ def test_growth_fit_synthetic():
     with_log = growth_fit(CountSeries(radii, [6.0 * r * math.log(r) for r in radii]),
                           log_power=SL2Z_LOG_POWER)
     assert not 0.85 <= with_log.fitted_exponent <= 1.15
+    # log log rho is not finite at rho <= 1: log power 0 leaves it out, any
+    # other log power refuses such a radius
+    through_one = [0.5, 1.0, 10.0, 100.0, 1000.0]
+    series = CountSeries(through_one, [6.0 * r for r in through_one])
+    assert growth_fit(series, log_power=0).fitted_exponent == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="radius > 1"):
+        growth_fit(series, log_power=1)
 
 
 def test_growth_fit_on_real_counts():
@@ -243,8 +254,6 @@ def test_growth_fit_on_real_counts():
 
 
 def test_sl2_log_rejects_branch_point():
-    from ncfourier.montecarlo import _sl2_exp_coeffs, _sl2_log_factor
-
     # rotation by pi has half-trace -1: no principal log
     _, ok = _sl2_log_factor(np.array([-1.0]))
     assert not ok[0]
@@ -266,9 +275,8 @@ def test_key_lemma_thick_tube_warns():
 # and the exact sl(2) tube volume
 
 
-def _matrix_exp(x):
-    """exp of traceless 2x2 batches given by coordinates, as matrices."""
-    mu2 = -_sl2_det(x)
+def _gather_exp_coeffs(mu2):
+    """exp(X) = c0 I + c1 X for X^2 = mu2 I, branch by branch on gathers."""
     c0 = np.empty_like(mu2)
     c1 = np.empty_like(mu2)
     pos = mu2 > 1e-12
@@ -281,6 +289,37 @@ def _matrix_exp(x):
     c1[neg] = np.sin(w[neg]) / w[neg]
     c0[mid] = 1.0 + mu2[mid] / 2.0
     c1[mid] = 1.0 + mu2[mid] / 6.0
+    return c0, c1
+
+
+def _gather_log_factor(alpha):
+    """The principal-log factor f(alpha) and its ok mask, on gathers."""
+    ok = alpha > -1.0 + 1e-12
+    f = np.ones_like(alpha)
+    hi = alpha > 1.0 + 1e-12
+    lo = ok & (alpha < 1.0 - 1e-12)
+    f[hi] = np.arccosh(alpha[hi]) / np.sqrt(alpha[hi] ** 2 - 1.0)
+    f[lo] = np.arccos(alpha[lo]) / np.sqrt(1.0 - alpha[lo] ** 2)
+    return f, ok
+
+
+def _gather_density(x):
+    """The Haar density (sinh mu / mu)^2 in exponential coordinates, on gathers."""
+    mu2 = -_sl2_det(x)
+    out = np.empty_like(mu2)
+    pos = mu2 > 1e-12
+    neg = mu2 < -1e-12
+    mid = ~(pos | neg)
+    w = np.sqrt(np.abs(mu2))
+    out[pos] = (np.sinh(w[pos]) / w[pos]) ** 2
+    out[neg] = (np.sin(w[neg]) / w[neg]) ** 2
+    out[mid] = 1.0 + mu2[mid] / 3.0
+    return out
+
+
+def _matrix_exp(x):
+    """exp of traceless 2x2 batches given by coordinates, as matrices."""
+    c0, c1 = _gather_exp_coeffs(-_sl2_det(x))
     out = np.empty((x.shape[0], 2, 2))
     out[:, 0, 0] = c0 + c1 * x[:, 0]
     out[:, 0, 1] = c1 * x[:, 1]
@@ -291,13 +330,7 @@ def _matrix_exp(x):
 
 def _matrix_log(z):
     """Principal log of det-1 2x2 matrix batches: (coordinates, ok mask)."""
-    alpha = 0.5 * (z[:, 0, 0] + z[:, 1, 1])
-    ok = alpha > -1.0 + 1e-12
-    f = np.ones_like(alpha)
-    hi = alpha > 1.0 + 1e-12
-    lo = ok & (alpha < 1.0 - 1e-12)
-    f[hi] = np.arccosh(alpha[hi]) / np.sqrt(alpha[hi] ** 2 - 1.0)
-    f[lo] = np.arccos(alpha[lo]) / np.sqrt(1.0 - alpha[lo] ** 2)
+    f, ok = _gather_log_factor(0.5 * (z[:, 0, 0] + z[:, 1, 1]))
     coords = np.empty((z.shape[0], 3))
     coords[:, 0] = f * 0.5 * (z[:, 0, 0] - z[:, 1, 1])
     coords[:, 1] = f * z[:, 0, 1]
@@ -322,7 +355,7 @@ def _matrix_delta_mc(model, F, W, cfg):
         if pts.shape[0] == 0:
             continue
         hits += pts.shape[0]
-        weights = _sl2_density(pts)
+        weights = _gather_density(pts)
         good = np.ones(pts.shape[0], dtype=bool)
         surviving = np.ones(pts.shape[0], dtype=bool)
         expx = _matrix_exp(pts)
@@ -387,6 +420,71 @@ def test_delta_mc_aborts_on_log_failures():
         _matrix_delta_mc(model, F, W, cfg)
     with pytest.raises(LogFailureError):
         delta_mc(model, F, W, cfg)
+
+
+def test_sl2_coefficients_match_gather_oracles():
+    # every branch: |mu2| <= 1e-12 (including both thresholds), mu2 above and
+    # below it, alpha <= -1, |alpha| < 1, alpha within 1e-12 of 1 and beyond
+    edges = np.array([0.0, 1e-13, -1e-13, 1e-12, -1e-12, 1.1e-12, -1.1e-12,
+                      -1.0, -1.0 - 1e-13, -1.0 + 1e-13, 1.0, 1.0 + 1e-13, 1.0 - 1e-13,
+                      -1.5, 0.25, -0.25, 1.5, 40.0, -40.0])
+    scalars = np.concatenate([edges, np.random.default_rng(0).uniform(-9.0, 9.0, 10 ** 4)])
+    c0, c1 = _sl2_exp_coeffs(scalars)
+    w0, w1 = _gather_exp_coeffs(scalars)
+    assert np.array_equal(c0, w0) and np.array_equal(c1, w1)
+    f, ok = _sl2_log_factor(scalars)
+    wf, wok = _gather_log_factor(scalars)
+    assert np.array_equal(f, wf) and np.array_equal(ok, wok)
+    assert not ok.all() and (ok & (np.abs(scalars) < 1.0)).any()
+    x_edges = [[0.0, 1.0, 0.0], [1e-7, 0.0, 0.0], [0.0, 1e-7, -1e-7], [0.0, 2.0, -2.0]]
+    x = np.concatenate([x_edges, np.random.default_rng(1).uniform(-2.0, 2.0, (10 ** 4, 3))])
+    assert np.array_equal(_sl2_density(x), _gather_density(x))
+
+
+def _unblocked_volume_mc(oracle, dim, box_radius, cfg):
+    """volume_mc with each batch drawn by one rng.uniform call."""
+    radii = np.broadcast_to(np.asarray(box_radius, dtype=float), (dim,))
+    hits = 0
+    for b in range(cfg.samples // cfg.batch):
+        rng = np.random.default_rng([cfg.seed, b])
+        hits += int(np.count_nonzero(oracle(rng.uniform(-radii, radii, size=(cfg.batch, dim)))))
+    vol_box = float(np.prod(2.0 * radii))
+    phat = hits / cfg.samples
+    stderr = vol_box * math.sqrt(phat * (1.0 - phat) / cfg.samples)
+    return McEstimate(phat * vol_box, stderr, cfg.samples, cfg.seed, hits)
+
+
+@pytest.mark.parametrize("block", [montecarlo._BLOCK, 7])
+@pytest.mark.parametrize("batch", [
+    montecarlo._BLOCK // 2, montecarlo._BLOCK, montecarlo._BLOCK + montecarlo._BLOCK // 2 + 1,
+])
+def test_blocked_draws_match_one_uniform_call(monkeypatch, block, batch):
+    monkeypatch.setattr(montecarlo, "_BLOCK", block)
+    cfg = McConfig(batch * max(2, -(-10 ** 4 // batch)), 5, batch)
+    disc = lambda p: np.sum(p ** 2, axis=1) <= 1.0
+    for dim, radius in ((2, [1.0, 0.5]), (3, 1.0)):
+        want = _unblocked_volume_mc(disc, dim, radius, cfg)
+        assert 0 < want.hits < cfg.samples
+        assert volume_mc(disc, dim, radius, cfg) == want
+    model = build_model("sl:2")
+    F = sample_adjoint_ball_sl2(model, 2.0, 3, np.random.default_rng(8))
+    W = Neighborhood("tube", (0.1, 0.5))
+    want, rejected = _matrix_delta_mc(model, F, W, cfg)
+    assert rejected == 0 and want.hits > 0
+    assert delta_mc(model, F, W, cfg) == want
+
+
+def test_volume_mc_memory_does_not_grow_with_the_batch():
+    # one uniform draw of a 10^7 x 2 batch holds 160 MB of points
+    cfg = McConfig(10 ** 7, 2)
+    tracemalloc.start()
+    try:
+        est = volume_mc(lambda p: np.sum(p ** 2, axis=1) <= 1.0, 2, 1.0, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(est.mean - math.pi) <= 4.0 * est.stderr
+    assert peak < 8 * 2 ** 20
 
 
 def _sequential_sl2z_count(rho):
