@@ -69,13 +69,33 @@ def _on_off(text: str) -> bool:
     return text == "true"
 
 
-def _write_json(path: str | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _write_text(path: str | None, chunks) -> None:
     if path:
         with open(path, "w") as fh:
-            fh.write(text + "\n")
+            fh.writelines(chunks)
     else:
-        print(text)
+        sys.stdout.writelines(chunks)
+
+
+def _write_json(path: str | None, payload: dict) -> None:
+    _write_text(path, [json.dumps(payload, indent=2, sort_keys=True), "\n"])
+
+
+def _group_json_chunks(group):
+    """The text ``_write_json`` gives the payload of ``group.to_json()``, one
+    table row at a time: an order-4096 table never becomes nested lists or one
+    string, and the indenting runs in C (``str.join``), not in json's
+    pure-Python indent encoder."""
+    def block(values, pad):  # a JSON list of ints, one per line at indent pad
+        inner = (",\n" + " " * pad).join(map(str, values.tolist()))
+        return "[\n" + " " * pad + inner + "\n" + " " * (pad - 2) + "]"
+
+    yield (f'{{\n  "identity": {group.identity},\n  "inv": {block(group.inv, 4)},\n'
+           f'  "label": {json.dumps(group.label)},\n  "mul": [\n')
+    last = group.order - 1
+    for i, row in enumerate(group.mul):
+        yield f"    {block(row, 6)}{',' if i < last else ''}\n"
+    yield f'  ],\n  "order": {group.order}\n}}\n'
 
 
 def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
@@ -112,7 +132,7 @@ def _symbol_from_flag(group, spec: str, arity: int) -> Symbol:
 
 def cmd_group(args) -> int:
     group = build_group(args.group)
-    _write_json(args.out, json.loads(group.to_json()))
+    _write_text(args.out, _group_json_chunks(group))
     _report_line("group construction", True, f"{group.label} of order {group.order}")
     return 0
 

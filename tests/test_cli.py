@@ -24,6 +24,23 @@ def test_group_dump_roundtrip(tmp_path, capsys):
     assert g2.order == 6
 
 
+@pytest.mark.parametrize("spec", [
+    "cyclic:1", "dihedral:3", "product:cyclic:2,product:dihedral:3,heisenberg:2"])
+def test_group_dump_is_the_indented_json_text(tmp_path, capsys, spec):
+    # the table is written a row at a time; the text is json.dumps' to the byte
+    from ncfourier.groups import build_group
+
+    g = build_group(spec)
+    want = json.dumps(json.loads(g.to_json()), indent=2, sort_keys=True) + "\n"
+    out = tmp_path / "group.json"
+    assert run(["group", "--group", spec, "--out", str(out)]) == 0
+    assert out.read_bytes() == want.encode()
+    capsys.readouterr()
+    assert run(["group", "--group", spec]) == 0
+    assert capsys.readouterr().out == (
+        want + f"[pass] group construction: {spec} of order {g.order}\n")
+
+
 def test_norm_json_output(tmp_path):
     out = tmp_path / "norm.json"
     code = run([
@@ -183,6 +200,7 @@ def test_usage_errors():
     ["identity-check", "--group", "cyclic:4", "--trials", "0"],
     ["periodize", "--group", "cyclic:4", "--normal-subgroup", "indices:0,2", "--trials", "0"],
     ["lattice-maps", "--group", "cyclic:64", "--stride", "8", "--trials", "-3"],
+    ["restrict", "--embedding", "cyclic-in-cyclic:0,8", "--symbol", "random:1", "--p", "3"],
     # e^x reaches cosh(21) on ball:30: over 1% of the log roundtrips fail
     ["delta-mc", "--model", "sl:2", "--rho", "3", "--F-count", "2", "--W", "ball:30",
      "--samples", "100000", "--seed", "4"],

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,3 +239,163 @@ def test_group_equality_is_structural_not_dataclass():
     assert same_group(a, b)
     assert (a == b) is False  # identity comparison only; no array-eq footgun
     assert a.subset([0, 1]).members == b.subset([1, 0]).members
+
+
+# ---------------------------------------------------------------------------
+# the constructors against their defining formulas, entry by entry
+
+
+def _oracle_cyclic(n):
+    idx = np.arange(n)
+    return (idx[:, None] + idx[None, :]) % n, (-idx) % n
+
+
+def _oracle_dihedral(n):
+    """dihedral:n entry by entry: r^k is index k, s r^k is index n+k."""
+    order = 2 * n
+    mul = np.zeros((order, order), dtype=np.int64)
+    for a in range(n):
+        for b in range(n):
+            mul[a, b] = (a + b) % n                  # r^a r^b
+            mul[a, n + b] = n + (b - a) % n          # r^a s r^b = s r^{b-a}
+            mul[n + a, b] = n + (a + b) % n          # s r^a r^b
+            mul[n + a, n + b] = (b - a) % n          # s r^a s r^b = r^{b-a}
+    inv = np.zeros(order, dtype=np.int64)
+    inv[:n] = (-np.arange(n)) % n
+    inv[n:] = n + np.arange(n)
+    return mul, inv
+
+
+def _oracle_heisenberg(n):
+    """(a,b,c)(a',b',c') = (a+a', b+b', c+c'+ab') on the codes a n^2 + b n + c."""
+    a, b, c = np.meshgrid(np.arange(n), np.arange(n), np.arange(n), indexing="ij")
+    a, b, c = (x.ravel() for x in (a, b, c))
+
+    def enc(x, y, z):
+        return (x % n) * n * n + (y % n) * n + (z % n)
+
+    mul = enc(a[:, None] + a[None, :], b[:, None] + b[None, :],
+              c[:, None] + c[None, :] + a[:, None] * b[None, :])
+    return mul, enc(-a, -b, a * b - c)
+
+
+def _oracle_product(t1, t2):
+    (mul1, inv1), (mul2, inv2) = t1, t2
+    n2 = len(inv2)
+    i, j = np.divmod(np.arange(len(inv1) * n2), n2)
+    return (mul1[i[:, None], i[None, :]] * n2 + mul2[j[:, None], j[None, :]],
+            inv1[i] * n2 + inv2[j])
+
+
+def _assert_tables(spec, want):
+    g = build_group(spec)
+    mul, inv = want
+    assert g.mul.dtype == np.int32 and g.inv.dtype == np.int32
+    assert np.array_equal(g.mul, mul), spec
+    assert np.array_equal(g.inv, inv), spec
+
+
+def test_dihedral_tables_match_the_double_loop():
+    for n in [*range(1, 41), 256, 512]:
+        _assert_tables(f"dihedral:{n}", _oracle_dihedral(n))
+
+
+def test_heisenberg_tables_match_the_coordinate_formula():
+    for n in [*range(1, 9), 16]:
+        _assert_tables(f"heisenberg:{n}", _oracle_heisenberg(n))
+
+
+def test_cyclic_and_product_tables_match_their_formulas():
+    _assert_tables("cyclic:4096", _oracle_cyclic(4096))
+    _assert_tables("product:dihedral:16,cyclic:32",
+                   _oracle_product(_oracle_dihedral(16), _oracle_cyclic(32)))
+    _assert_tables("product:cyclic:2,product:dihedral:3,heisenberg:2",
+                   _oracle_product(_oracle_cyclic(2), _oracle_product(
+                       _oracle_dihedral(3), _oracle_heisenberg(2))))
+
+
+@pytest.mark.parametrize("spec", ["heisenberg:16", "cyclic:4096"])
+def test_build_group_memory_is_about_one_table(spec):
+    # the int32 table of order 4096 holds 64 MB; an int64 or N^2-index
+    # temporary alongside it would pass 160 MB
+    tracemalloc.start()
+    try:
+        build_group(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 160 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# validate: one hand-broken table per rule
+
+
+def _table(mul, inv, identity=0):
+    mul = np.array(mul)
+    return FiniteGroup(len(mul), mul, np.array(inv), identity, "hand-made")
+
+
+# a loop of order 5 (a Latin square with identity 0 and x x = 0) that is not
+# a group: (1 2) 2 = 4 but 1 (2 2) = 1
+LOOP5 = [[0, 1, 2, 3, 4],
+         [1, 0, 3, 4, 2],
+         [2, 4, 0, 1, 3],
+         [3, 2, 4, 0, 1],
+         [4, 3, 1, 2, 0]]
+
+
+def _broken(mul, at, value):
+    mul = np.array(mul)
+    mul[at] = value
+    return mul
+
+
+def _cyclic_table(n):
+    return _oracle_cyclic(n)[0]
+
+
+@pytest.mark.parametrize("group, message", [
+    (_table(_cyclic_table(3), [0, 2, 1], identity=1), "identity law fails"),
+    (_table(_cyclic_table(4), [0, 1, 2, 3]), "inverse law fails"),
+    # row 2 reads 2 3 0 2; the identity and inverse laws still hold
+    (_table(_broken(_cyclic_table(4), (2, 3), 2), [0, 3, 2, 1]),
+     "multiplication table rows/columns are not permutations"),
+    # past the first slab of rows
+    (_table(_broken(_cyclic_table(300), (250, 7), 0), -np.arange(300) % 300),
+     "multiplication table rows/columns are not permutations"),
+    (_table(LOOP5, [0, 1, 2, 3, 4]), "associativity fails"),
+    # LOOP5 x Z_16 has order 80, so only sampled triples are checked
+    (_table(*_oracle_product((np.array(LOOP5), np.arange(5)), _oracle_cyclic(16))),
+     "associativity fails on sampled triples"),
+    (_table(_cyclic_table(3), [0, 2]), "table shapes wrong for order 3"),
+], ids=["identity", "inverse", "row", "row-late-slab", "assoc", "assoc-sampled", "shape"])
+def test_validate_rejects_each_broken_rule(group, message):
+    with pytest.raises(GroupError, match=f"^{message}$"):
+        group.validate()
+
+
+@pytest.mark.parametrize("n, row, cols", [(4, 3, (2, 3)), (300, 150, (140, 290))])
+def test_validate_rejects_a_bad_column_when_every_row_is_a_permutation(n, row, cols):
+    # swapping two entries of one row (away from the identity column and the
+    # inverse's column) keeps the row a permutation and breaks two columns;
+    # at order 300 both lie past the first slab of 128 columns
+    mul = _cyclic_table(n)
+    mul[row, list(cols)] = mul[row, list(cols[::-1])]
+    assert (np.sort(mul, axis=1) == np.arange(n)).all()
+    with pytest.raises(GroupError, match="^multiplication table rows/columns are not"):
+        _table(mul, -np.arange(n) % n).validate()
+
+
+@pytest.mark.parametrize("order, inv, identity, message", [
+    (3, [0, -1, 1], 0, "inverse table entries out of range for order 3"),
+    (4, [0, 3, 2, 9], 0, "inverse table entries out of range for order 4"),
+    (4, [0, 3, 2, 1], 4, "identity index 4 out of range for order 4"),
+    (4, [0, 3, 2, 1], -1, "identity index -1 out of range for order 4"),
+])
+def test_from_json_rejects_out_of_range_inverse_or_identity(order, inv, identity, message):
+    # numpy would wrap a negative index and reject a large one with IndexError
+    text = json.dumps({"order": order, "mul": _cyclic_table(order).tolist(), "inv": inv,
+                       "identity": identity, "label": f"cyclic:{order}"})
+    with pytest.raises(GroupError, match=f"^{message}$"):
+        FiniteGroup.from_json(text)
