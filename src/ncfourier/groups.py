@@ -149,37 +149,30 @@ class FiniteGroup:
         return AlgebraElement(self, coeffs)
 
     def subset(self, members) -> "GroupSubset":
-        return GroupSubset(self, frozenset(int(m) for m in members))
+        return GroupSubset(self, frozenset(map(int, members)))
 
     def word_ball(self, radius: int) -> "GroupSubset":
         """Ball of the word metric in the canonical symmetric generators."""
-        reached = {self.identity}
-        frontier = {self.identity}
-        gens = set(self.generators) | {int(self.inv[g]) for g in self.generators}
-        for _ in range(radius):
-            frontier = {
-                int(self.mul[x, g]) for x in frontier for g in gens
-            } - reached
-            reached |= frontier
-        return self.subset(reached)
+        if radius < 0:
+            raise GroupError(f"word-ball radius must be >= 0, got {radius}")
+        # reached elements lie within order - 1 steps; unreached ones read order
+        dist = self.word_distances()
+        return self.subset(np.flatnonzero(dist <= min(radius, self.order - 1)).tolist())
 
     def word_distances(self) -> np.ndarray:
-        """Word-metric distance from the identity to every element (BFS)."""
+        """Word-metric distance from the identity to every element (BFS, one
+        table gather per level)."""
         dist = np.full(self.order, -1, dtype=np.int64)
         dist[self.identity] = 0
-        gens = sorted(set(self.generators) | {int(self.inv[g]) for g in self.generators})
-        frontier = [self.identity]
+        gens = np.asarray(self.generators, dtype=np.int64)
+        gens = np.union1d(gens, self.inv[gens])
+        frontier = np.array([self.identity])
         d = 0
-        while frontier:
+        while frontier.size:
             d += 1
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = int(self.mul[x, g])
-                    if dist[y] < 0:
-                        dist[y] = d
-                        nxt.append(y)
-            frontier = nxt
+            reached = np.unique(self.mul[frontier[:, None], gens])
+            frontier = reached[dist[reached] < 0]
+            dist[frontier] = d
         dist[dist < 0] = self.order  # disconnected only if generators were dropped
         return dist
 
@@ -219,16 +212,14 @@ class GroupSubset:
     members: frozenset[int]
 
     def __post_init__(self):
-        n = self.parent.order
-        if any(m < 0 or m >= n for m in self.members):
+        if self.members and not (0 <= min(self.members) and max(self.members) < self.parent.order):
             raise GroupError("subset members out of range")
 
     def sorted(self) -> list[int]:
         return sorted(self.members)
 
     def is_symmetric(self) -> bool:
-        inv = self.parent.inv
-        return all(int(inv[m]) in self.members for m in self.members)
+        return self.members.issuperset(self.parent.inv[list(self.members)].tolist())
 
     def indicator(self) -> "AlgebraElement":
         coeffs = np.zeros(self.parent.order, dtype=complex)
@@ -351,8 +342,18 @@ def regular_matrix(f: AlgebraElement) -> np.ndarray:
 def conjugate_set(s: int, subset: GroupSubset) -> GroupSubset:
     """Image of the subset under conjugation v -> s v s^{-1}."""
     grp = subset.parent
-    si = int(grp.inv[s])
-    return grp.subset(int(grp.mul[grp.mul[s, v], si]) for v in subset.members)
+    (row,) = _conjugation_mask(grp, [s], subset.sorted())
+    return grp.subset(np.flatnonzero(row).tolist())
+
+
+def _conjugation_mask(group: FiniteGroup, conjugators, members) -> np.ndarray:
+    """Boolean (len(conjugators), N) mask whose row i marks s_i V s_i^{-1},
+    for V given by its member indices: one table gather per side."""
+    s = np.asarray(conjugators, dtype=np.int64).reshape(-1, 1)
+    conj = group.mul[group.mul[s, np.asarray(members, dtype=np.int64)], group.inv[s]]
+    mask = np.zeros((len(s), group.order), dtype=bool)
+    mask[np.arange(len(s))[:, None], conj] = True
+    return mask
 
 
 def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -840,13 +841,17 @@ class SubgroupEmbedding:
         m = self.map
         if m.shape != (self.sub.order,):
             raise GroupError("embedding map has the wrong length")
-        if len(set(m.tolist())) != self.sub.order:
+        if (np.diff(np.sort(m)) == 0).any():
             raise GroupError("embedding map is not injective")
         if int(m[self.sub.identity]) != self.amb.identity:
             raise GroupError("embedding does not fix the identity")
-        ms = m[self.sub.mul]
-        if not np.array_equal(ms, self.amb.mul[m[:, None], m[None, :]]):
-            raise GroupError("embedding is not a homomorphism")
+        # m(a) m(b) = m(ab), compared in int32 slabs of _SLAB rows: no N x N temporary
+        m32 = m.astype(np.int32)
+        for r in range(0, len(m), _SLAB):
+            rows = slice(r, r + _SLAB)
+            image = self.amb.mul[m[rows]].take(m, axis=1)
+            if not np.array_equal(m32.take(self.sub.mul[rows]), image):
+                raise GroupError("embedding is not a homomorphism")
 
     def push(self, x: AlgebraElement) -> AlgebraElement:
         """Transport an element of the subgroup algebra into the ambient algebra."""

@@ -368,19 +368,19 @@ def max_nilpotent_dim(
 
 
 def exp_density(
-    x: AlgebraVector, series_terms: int = 24, method: str = "auto"
+    x: AlgebraVector, series_terms: int = 24, method: str = "eigen"
 ) -> float:
     """Density of the pulled-back Haar measure in exponential coordinates.
 
-    nu(x) = |det Phi_x| with Phi_x = (Id - exp(-ad_x)) / ad_x.  The
-    eigenvalue-product path prod |(1 - e^{-mu_i}) / mu_i| over the complex
-    spectrum of ad_x is exact; the truncated power series
-    Id - ad/2! + ad^2/3! - ... is kept as an independent route and hands off
-    to the eigenvalue path (with a warning) when ||ad_x|| > pi, where the
-    truncation degrades.
+    nu(x) = |det Phi_x| with Phi_x = (Id - exp(-ad_x)) / ad_x.  The default
+    ``method="eigen"``, the product prod |(1 - e^{-mu_i}) / mu_i| over the
+    complex spectrum of ad_x, is exact; ``method="series"``, the truncated
+    power series Id - ad/2! + ad^2/3! - ..., is kept as an independent route
+    and hands off to the eigenvalue path (with a warning) when
+    ||ad_x|| > pi, where the truncation degrades.
     """
     ad = ad_operator(x)
-    if method not in ("auto", "eigen", "series"):
+    if method not in ("eigen", "series"):
         raise ValueError(f"unknown method {method!r}")
     if method == "series":
         if series_terms < 8:

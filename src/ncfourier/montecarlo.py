@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import FiniteGroup, GroupSubset
+from .groups import FiniteGroup, GroupSubset, _conjugation_mask
 from .liealg import GroupMatrix, LieModel, build_model, random_special_orthogonal
 
 __all__ = [
@@ -320,36 +320,25 @@ def delta_mc_finite(
     """Finite-group specialization: sample uniformly from V and count the
     fraction landing in every conjugate s V s^{-1}, s in F."""
     members = np.array(sorted(V.members), dtype=np.int64)
-    in_v = np.zeros(group.order, dtype=bool)
-    in_v[members] = True
-    f_elems = F.sorted()
+    # the elements of G lying in every conjugate s V s^{-1}, s in F
+    surviving = _conjugation_mask(group, F.sorted(), members).all(axis=0)
     hits = 0
     for b in range(cfg.samples // cfg.batch):
         rng = np.random.default_rng([cfg.seed, b])
         v = members[rng.integers(0, len(members), size=cfg.batch)]
-        surviving = np.ones(cfg.batch, dtype=bool)
-        for s in f_elems:
-            si = int(group.inv[s])
-            conj = group.mul[group.mul[si, v], s]  # s^{-1} w s in V <=> w in sVs^{-1}
-            surviving &= in_v[conj]
-        hits += int(np.count_nonzero(surviving))
+        hits += int(np.count_nonzero(surviving[v]))
     phat = hits / cfg.samples
     stderr = math.sqrt(phat * (1.0 - phat) / cfg.samples)
     return McEstimate(phat, stderr, cfg.samples, cfg.seed, hits)
 
 
-def key_lemma_ratio(
-    eps: float, R: float, rho: float, cfg: McConfig, model: LieModel | None = None
-) -> tuple[McEstimate, float]:
+def key_lemma_ratio(eps: float, R: float, rho: float, cfg: McConfig) -> tuple[McEstimate, float]:
     """Tube-volume scaling ratio Lambda(V_{eps, rho R}) / Lambda(V_{eps, R})
-    with propagated stderr, and the expected limit rho^{d/2} (= rho on sl:2).
+    on sl(2) with propagated stderr, and the expected limit rho^{d/2} = rho.
 
     Each volume is a hit-or-miss estimate over the sheared band that encloses
     the tube (see ``_tube_volume_mc``), where about 90% of the draws land
     inside; the two volumes use independent streams derived from the seed."""
-    model = model or build_model("sl:2")
-    if model.name != "sl:2":
-        raise NotImplementedError("sl:2 only")
     if rho < 1.0:
         raise ValueError("rho must be >= 1")
     if not (eps > 0 and R > 0):

@@ -601,12 +601,30 @@ def symbol_to_csv(m: Symbol, path: str) -> None:
 
 
 def symbol_from_csv(group: FiniteGroup, path: str) -> Symbol:
+    """Read a symbol in the format ``symbol_to_csv`` writes: the header
+    ``s1,...,sn,re,im``, then one row per entry with n indices in 0..N-1 and
+    the real and imaginary parts; entries not listed are 0.  A malformed file
+    raises ``ValueError`` naming ``path:line``."""
+    N = group.order
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         arity = len(header) - 2
-        values = np.zeros((group.order,) * arity, dtype=complex)
+        if arity < 1 or header != [f"s{i + 1}" for i in range(arity)] + ["re", "im"]:
+            raise ValueError(f"{path}:1: header must be s1,...,sn,re,im, got {','.join(header)!r}")
+        if N ** arity > MAX_TABLE:
+            raise ValueError(f"{path}:1: symbol table size {N}^{arity} exceeds {MAX_TABLE}")
+        values = np.zeros((N,) * arity, dtype=complex)
         for row in reader:
-            idx = tuple(int(tok) for tok in row[:arity])
-            values[idx] = complex(float(row[arity]), float(row[arity + 1]))
+            where = f"{path}:{reader.line_num}"
+            if len(row) != arity + 2:
+                raise ValueError(f"{where}: expected {arity + 2} fields, got {len(row)}")
+            try:
+                idx = tuple(int(tok) for tok in row[:arity])
+                z = complex(float(row[arity]), float(row[arity + 1]))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from exc
+            if not all(0 <= i < N for i in idx):
+                raise ValueError(f"{where}: indices {idx} must lie in 0..{N - 1}")
+            values[idx] = z
     return Symbol(group, arity, values)

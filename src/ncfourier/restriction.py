@@ -23,7 +23,7 @@ from .groups import (
     GroupError,
     GroupSubset,
     SubgroupEmbedding,
-    conjugate_set,
+    _conjugation_mask,
     convolve,
     random_element,
     regular_matrix,
@@ -106,10 +106,9 @@ def delta_exact(F: GroupSubset, V: GroupSubset) -> DeltaValue:
         raise ValueError("V is empty")
     if not same_group(F.parent, V.parent):
         raise GroupError("F and V live on different groups")
-    surviving = set(V.members)
-    for s in F.sorted():
-        surviving &= conjugate_set(s, V).members
-    return DeltaValue(len(surviving), len(V), F, V)
+    members = V.sorted()
+    mask = _conjugation_mask(V.parent, F.sorted(), members)
+    return DeltaValue(int(np.count_nonzero(mask.all(axis=0)[members])), len(V), F, V)
 
 
 def gram_matrix(F: GroupSubset, V: GroupSubset):
@@ -117,16 +116,14 @@ def gram_matrix(F: GroupSubset, V: GroupSubset):
     smallest eigenvalues of A and of A - delta_F(V) * (all-ones matrix)."""
     if len(V) == 0 or len(F) == 0:
         raise ValueError("F and V must be nonempty")
-    elems = F.sorted()
-    conjugates = [conjugate_set(s, V).members for s in elems]
-    k = len(elems)
-    A = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            A[i, j] = A[j, i] = len(conjugates[i] & conjugates[j]) / len(V)
-    delta = float(delta_exact(F, V))
+    if not same_group(F.parent, V.parent):
+        raise GroupError("F and V live on different groups")
+    members = V.sorted()
+    mask = _conjugation_mask(V.parent, F.sorted(), members)  # rows in increasing s
+    A = (mask.astype(np.int64) @ mask.T) / len(V)
+    delta = np.count_nonzero(mask.all(axis=0)[members]) / len(V)
     eig_a = float(np.linalg.eigvalsh(A)[0])
-    eig_gap = float(np.linalg.eigvalsh(A - delta * np.ones((k, k)))[0])
+    eig_gap = float(np.linalg.eigvalsh(A - delta)[0])
     return A, eig_a, eig_gap
 
 
@@ -134,23 +131,21 @@ def gram_matrix(F: GroupSubset, V: GroupSubset):
 # embedding inequalities
 
 
-def _check_disjoint_translates(
-    group: FiniteGroup, lefts, V: GroupSubset, name: str, rights=None
-) -> None:
-    """Require the sets s V t (t optional) to be pairwise disjoint."""
-    seen: dict[int, tuple] = {}
-    rights = rights if rights is not None else [group.identity]
-    for s in lefts:
-        for t in rights:
-            for v in V.members:
-                g = int(group.mul[group.mul[s, v], t])
-                key = (s, t)
-                if g in seen and seen[g] != key:
-                    raise PreconditionError(
-                        f"disjointness condition {name} fails: "
-                        f"translates {seen[g]} and {key} meet at element {g}"
-                    )
-                seen[g] = key
+def _require_disjoint(products: np.ndarray, labels: np.ndarray, what: str) -> None:
+    """Raise ``PreconditionError`` when two translates meet: some element of
+    ``products`` carries two different labels (``labels`` broadcasts against
+    ``products``).  A stable sort puts equal products side by side, so the
+    report names the first pair of labels, in input order, at the least such
+    element."""
+    labels = np.broadcast_to(labels, products.shape).ravel()
+    order = np.argsort(products, axis=None, kind="stable")
+    g, lab = products.ravel()[order], labels[order]
+    clash = np.flatnonzero((g[1:] == g[:-1]) & (lab[1:] != lab[:-1]))
+    if clash.size:
+        i = clash[0]
+        raise PreconditionError(
+            f"{what}: translates {lab[i]} and {lab[i + 1]} meet at element {g[i]}"
+        )
 
 
 def embedding_contraction_residual(
@@ -174,7 +169,9 @@ def embedding_contraction_residual(
     if not V.is_symmetric():
         raise PreconditionError("V is not symmetric")
     x_amb = emb.push(x)
-    _check_disjoint_translates(emb.amb, x_amb.support(), V, "(1) sV, s in supp(x)")
+    supp = np.flatnonzero(x_amb.coeffs)
+    _require_disjoint(emb.amb.mul[supp[:, None], V.sorted()], supp[:, None],
+                      "disjointness condition (1) sV, s in supp(x) fails")
     if math.isinf(p):
         amb_mat = regular_matrix(x_amb)  # the p = infinity map is x -> x
     else:
@@ -232,26 +229,19 @@ def embedding_lower_residual(
     group = emb.amb
     q = 1.0 / (0.5 - 1.0 / p)
     x_amb = emb.push(x)
-    y_amb = emb.push(y)
-    supp_x = x_amb.support()
-    supp_y = y_amb.support()
-    supp_y_star = [int(group.inv[t]) for t in supp_y]
-    _check_disjoint_translates(group, supp_x, V, "(1) sV, s in F")
-    _check_disjoint_translates(group, supp_y_star, V, "(2) sV, s in F_y")
-    # (3) s V t disjoint across pairs with distinct products st
-    seen: dict[int, int] = {}
-    for s in supp_x:
-        for t in supp_y:
-            prod = int(group.mul[s, t])
-            for v in V.members:
-                g = int(group.mul[group.mul[s, v], t])
-                if g in seen and seen[g] != prod:
-                    raise PreconditionError(
-                        "disjointness condition (3) s1 V t1 cap s2 V t2 fails "
-                        f"at element {g}"
-                    )
-                seen[g] = prod
-    F = group.subset(supp_x)
+    supp_x = np.flatnonzero(x_amb.coeffs)[:, None]
+    supp_y = np.flatnonzero(emb.push(y).coeffs)
+    supp_y_star = group.inv[supp_y][:, None]
+    members = V.sorted()
+    mul = group.mul
+    sv = mul[supp_x, members]
+    _require_disjoint(sv, supp_x, "disjointness condition (1) sV, s in F fails")
+    _require_disjoint(mul[supp_y_star, members], supp_y_star,
+                      "disjointness condition (2) sV, s in F_y fails")
+    # (3) s V t disjoint across pairs with distinct products st; axes (s, t, v)
+    _require_disjoint(mul[sv[:, None, :], supp_y[:, None]], mul[supp_x, supp_y][..., None],
+                      "disjointness condition (3) s1 V t1 cap s2 V t2 fails")
+    F = group.subset(supp_x.ravel().tolist())
     dval = float(delta_exact(F, V))
     pp = polar_parts(V)
     lhs = matrix_lp_norm(
@@ -413,23 +403,6 @@ def periodization_residual(
 # fundamental-domain compression and sampling maps
 
 
-def _check_fundamental_domain(
-    emb: SubgroupEmbedding, X: GroupSubset
-) -> None:
-    group = emb.amb
-    covered: dict[int, int] = {}
-    for gamma in emb.map.tolist():
-        for xx in X.members:
-            g = int(group.mul[gamma, xx])
-            if g in covered:
-                raise PreconditionError(
-                    f"X is not a fundamental domain: element {g} covered twice"
-                )
-            covered[g] = gamma
-    if len(covered) != group.order:
-        raise PreconditionError("X is not a fundamental domain: cosets do not cover G")
-
-
 def lattice_maps_report(
     emb: SubgroupEmbedding,
     X: GroupSubset,
@@ -455,7 +428,11 @@ def lattice_maps_report(
     if len(ps) != n:
         raise ValueError("exponent tuple must match arity")
     p = 1.0 / sum(1.0 / q for q in ps)
-    _check_fundamental_domain(emb, X)
+    # X is a fundamental domain when the translates gamma X over the subgroup tile G
+    what = "X is not a fundamental domain"
+    _require_disjoint(group.mul[emb.map[:, None], X.sorted()], emb.map[:, None], what)
+    if len(emb.map) * len(X) != group.order:
+        raise PreconditionError(f"{what}: cosets do not cover G")
     h = regular_matrix(X.indicator())
     xsize = len(X)
     m_sub = restrict_symbol(m, emb)

@@ -201,6 +201,7 @@ def test_usage_errors():
     ["periodize", "--group", "cyclic:4", "--normal-subgroup", "indices:0,2", "--trials", "0"],
     ["lattice-maps", "--group", "cyclic:64", "--stride", "8", "--trials", "-3"],
     ["restrict", "--embedding", "cyclic-in-cyclic:0,8", "--symbol", "random:1", "--p", "3"],
+    ["delta-exact", "--group", "dihedral:6", "--F", "indices:6", "--V", "ball:-1"],
     # e^x reaches cosh(21) on ball:30: over 1% of the log roundtrips fail
     ["delta-mc", "--model", "sl:2", "--rho", "3", "--F-count", "2", "--W", "ball:30",
      "--samples", "100000", "--seed", "4"],
@@ -210,6 +211,24 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, line", [
+    ("", 1),                                    # no header
+    ("s1,re,im\n9,1.0,0.0\n", 2),              # index past N - 1
+    ("s1,re,im\n0,1.0,0.0\n1,1.0\n", 3),      # short row
+    ("s1,re,im\n0,1.0,0.0\n-1,1.0,0.0\n", 3),  # negative index
+    ("s1,s2,im\n0,1.0,0.0\n", 1),             # header is not s1..sn,re,im
+    ("s1,re,im\n1.5,1.0,0.0\n", 2),            # index is not an integer
+], ids=["empty", "index-9", "short-row", "index-minus-1", "bad-header", "fractional-index"])
+def test_malformed_csv_symbol_exits_2_naming_the_line(tmp_path, capsys, text, line):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    assert run(["norm", "--group", "cyclic:4", "--symbol", f"csv:{path}", "--p", "2"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert f"{path}:{line}:" in err
 
 
 def test_config_file_precedence(tmp_path):

@@ -399,3 +399,114 @@ def test_from_json_rejects_out_of_range_inverse_or_identity(order, inv, identity
                        "identity": identity, "label": f"cyclic:{order}"})
     with pytest.raises(GroupError, match=f"^{message}$"):
         FiniteGroup.from_json(text)
+
+
+# ---------------------------------------------------------------------------
+# subset arithmetic on the table against the set-per-element forms it replaced
+
+
+def _conjugate_set_oracle(g, s, members):
+    si = int(g.inv[s])
+    return frozenset(int(g.mul[g.mul[s, v], si]) for v in members)
+
+
+def _word_ball_oracle(g, radius):
+    reached = {g.identity}
+    frontier = {g.identity}
+    gens = set(g.generators) | {int(g.inv[x]) for x in g.generators}
+    for _ in range(radius):
+        frontier = {int(g.mul[x, s]) for x in frontier for s in gens} - reached
+        reached |= frontier
+    return frozenset(reached)
+
+
+def _word_distances_oracle(g):
+    dist = np.full(g.order, -1, dtype=np.int64)
+    dist[g.identity] = 0
+    gens = sorted(set(g.generators) | {int(g.inv[x]) for x in g.generators})
+    frontier, d = [g.identity], 0
+    while frontier:
+        d += 1
+        nxt = []
+        for x in frontier:
+            for s in gens:
+                y = int(g.mul[x, s])
+                if dist[y] < 0:
+                    dist[y] = d
+                    nxt.append(y)
+        frontier = nxt
+    dist[dist < 0] = g.order
+    return dist
+
+
+SUBSET_GROUPS = ["cyclic:8", "dihedral:4", "dihedral:6", "heisenberg:2", "heisenberg:3",
+                 "product:cyclic:2,dihedral:3"]
+
+
+@pytest.mark.parametrize("spec", SUBSET_GROUPS)
+def test_conjugate_set_and_symmetry_match_set_oracles(spec):
+    g = build_group(spec)
+    rng = np.random.default_rng(31)
+    symmetric = []
+    for _ in range(40):
+        V = g.subset(rng.choice(g.order, size=int(rng.integers(0, g.order)), replace=False))
+        s = int(rng.integers(g.order))
+        assert conjugate_set(s, V).members == _conjugate_set_oracle(g, s, V.members)
+        want = all(int(g.inv[m]) in V.members for m in V.members)
+        assert V.is_symmetric() is want
+        symmetric.append(want)
+        W = g.subset(list(V.members) + g.inv[list(V.members)].tolist())
+        assert W.is_symmetric()
+    assert not all(symmetric)
+
+
+def _generator_free(spec):
+    # a table read back from JSON has no generators: only the identity is reached
+    return FiniteGroup.from_json(build_group(spec).to_json())
+
+
+@pytest.mark.parametrize("g", [build_group(s) for s in SUBSET_GROUPS + ["cyclic:1"]]
+                         + [_generator_free("dihedral:3")], ids=repr)
+def test_word_ball_and_distances_match_the_bfs_oracles(g):
+    assert np.array_equal(g.word_distances(), _word_distances_oracle(g))
+    for radius in range(g.order + 2):
+        assert g.word_ball(radius).members == _word_ball_oracle(g, radius)
+
+
+def test_negative_ball_radius_is_rejected():
+    g = build_group("dihedral:6")
+    with pytest.raises(GroupError, match="radius"):
+        g.word_ball(-1)
+    with pytest.raises(GroupError, match="radius"):
+        parse_subset(g, "ball:-1")
+
+
+def test_embedding_messages():
+    from ncfourier.groups import SubgroupEmbedding
+
+    z2, z4 = build_group("cyclic:2"), build_group("cyclic:4")
+    with pytest.raises(GroupError, match="not injective"):
+        SubgroupEmbedding(z2, z4, np.array([2, 2]))
+    with pytest.raises(GroupError, match="does not fix the identity"):
+        SubgroupEmbedding(z2, z4, np.array([2, 0]))
+    with pytest.raises(GroupError, match="wrong length"):
+        SubgroupEmbedding(z2, z4, np.array([0, 2, 1]))
+    # on Z2 x Z128 a map that is the identity on the first 128 elements (the
+    # factor Z128) and shifts the other coset by 5 passes every row of the
+    # first slab of the table and fails only in the second
+    g = build_group("product:cyclic:2,cyclic:128")
+    j = np.arange(128)
+    with pytest.raises(GroupError, match="not a homomorphism"):
+        SubgroupEmbedding(g, g, np.concatenate([j, 128 + (j + 5) % 128]))
+
+
+def test_embedding_build_memory_stays_near_the_group():
+    # the group alone peaks at about 67 MB; the homomorphism check gathers
+    # slabs of rows, not the whole table
+    tracemalloc.start()
+    try:
+        build_embedding("trivial:heisenberg:16")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2 ** 20

@@ -127,6 +127,37 @@ def test_delta_mc_finite_bridges_exact():
         assert abs(est.mean - exact) <= 3.0 * max(est.stderr, 1e-12)
 
 
+def _delta_mc_finite_hits_oracle(group, F, V, cfg):
+    """The per-conjugator loop delta_mc_finite ran before it read one mask."""
+    members = np.array(sorted(V.members), dtype=np.int64)
+    in_v = np.zeros(group.order, dtype=bool)
+    in_v[members] = True
+    hits = 0
+    for b in range(cfg.samples // cfg.batch):
+        rng = np.random.default_rng([cfg.seed, b])
+        v = members[rng.integers(0, len(members), size=cfg.batch)]
+        surviving = np.ones(cfg.batch, dtype=bool)
+        for s in F.sorted():
+            surviving &= in_v[group.mul[group.mul[int(group.inv[s]), v], s]]
+        hits += int(np.count_nonzero(surviving))
+    return hits
+
+
+@pytest.mark.parametrize("spec, f_size, v_size", [
+    ("dihedral:6", 0, 5), ("dihedral:6", 2, 4), ("heisenberg:3", 3, 10),
+    ("product:cyclic:2,dihedral:3", 2, 6), ("heisenberg:16", 40, 2000),
+])
+def test_delta_mc_finite_hits_match_the_loop_oracle(spec, f_size, v_size):
+    g = build_group(spec)
+    rng = np.random.default_rng(f_size + v_size)
+    F = g.subset(rng.choice(g.order, size=f_size, replace=False))
+    V = g.subset(rng.choice(g.order, size=v_size, replace=False))
+    cfg = McConfig(20000, 7, 5000)
+    est = delta_mc_finite(g, F, V, cfg)
+    assert est.hits == _delta_mc_finite_hits_oracle(g, F, V, cfg)
+    assert est.mean == est.hits / cfg.samples
+
+
 def test_sample_adjoint_ball():
     model = build_model("sl:2")
     rng = np.random.default_rng(4)

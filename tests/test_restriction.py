@@ -400,3 +400,199 @@ def test_lattice_maps_refinement_decreases_pairing_deviation():
         assert rep.residual <= 1e-9
         deviations.append(rep.context["pairing_deviation"])
     assert deviations[0] > deviations[1] > deviations[2]
+
+
+# ---------------------------------------------------------------------------
+# exact set arithmetic against the set-per-element forms it replaced
+
+
+def _conjugate_oracle(g, s, members):
+    si = int(g.inv[s])
+    return {int(g.mul[g.mul[s, v], si]) for v in members}
+
+
+def _delta_oracle(F, V):
+    surviving = set(V.members)
+    for s in F.sorted():
+        surviving &= _conjugate_oracle(V.parent, s, V.members)
+    return Fraction(len(surviving), len(V))
+
+
+def _gram_oracle(F, V):
+    conjugates = [_conjugate_oracle(V.parent, s, V.members) for s in F.sorted()]
+    k = len(conjugates)
+    A = np.empty((k, k))
+    for i in range(k):
+        for j in range(i, k):
+            A[i, j] = A[j, i] = len(conjugates[i] & conjugates[j]) / len(V)
+    d = _delta_oracle(F, V)
+    delta = d.numerator / d.denominator
+    eig_gap = float(np.linalg.eigvalsh(A - delta * np.ones((k, k)))[0])
+    return A, float(np.linalg.eigvalsh(A)[0]), eig_gap
+
+
+def _translates_meet(g, lefts, members):
+    """Whether the translates s V, s in lefts, fail to be pairwise disjoint."""
+    seen = {}
+    for s in lefts:
+        for v in members:
+            h = int(g.mul[s, v])
+            if h in seen and seen[h] != s:
+                return True
+            seen[h] = s
+    return False
+
+
+def _condition_3_fails(g, supp_x, supp_y, members):
+    """Whether some s1 V t1 and s2 V t2 with s1 t1 != s2 t2 meet."""
+    seen = {}
+    for s in supp_x:
+        for t in supp_y:
+            prod = int(g.mul[s, t])
+            for v in members:
+                h = int(g.mul[g.mul[s, v], t])
+                if h in seen and seen[h] != prod:
+                    return True
+                seen[h] = prod
+    return False
+
+
+def _not_fundamental_domain(emb, X):
+    g, covered = emb.amb, set()
+    for gamma in emb.map.tolist():
+        for x in X.members:
+            h = int(g.mul[gamma, x])
+            if h in covered:
+                return True
+            covered.add(h)
+    return len(covered) != g.order
+
+
+def _assert_delta_and_gram_match_oracles(F, V):
+    assert delta_exact(F, V).value == _delta_oracle(F, V)
+    if len(F):
+        A, eig_a, eig_gap = gram_matrix(F, V)
+        A_want, eig_a_want, eig_gap_want = _gram_oracle(F, V)
+        assert A.dtype == A_want.dtype and np.array_equal(A, A_want)
+        assert (eig_a, eig_gap) == (eig_a_want, eig_gap_want)
+
+
+@pytest.mark.parametrize("spec", ["cyclic:8", "dihedral:4", "dihedral:6", "heisenberg:2",
+                                  "product:cyclic:2,dihedral:3"])
+def test_delta_and_gram_match_set_oracles(spec):
+    g = build_group(spec)
+    rng = np.random.default_rng(40)
+    values = set()
+    for _ in range(60):
+        F = g.subset(rng.choice(g.order, size=int(rng.integers(0, 5)), replace=False))
+        V = g.subset(rng.choice(g.order, size=int(rng.integers(1, g.order + 1)), replace=False))
+        _assert_delta_and_gram_match_oracles(F, V)
+        values.add(_delta_oracle(F, V))
+    if spec != "cyclic:8":
+        assert len(values) > 1  # nonabelian: conjugation moves V
+
+
+def test_delta_and_gram_match_set_oracles_at_order_4096():
+    g = build_group("heisenberg:16")
+    rng = np.random.default_rng(41)
+    F = g.subset(rng.choice(g.order, size=40, replace=False))
+    V = g.subset(rng.choice(g.order, size=2000, replace=False))
+    _assert_delta_and_gram_match_oracles(F, V)
+
+
+def _symmetric(g, members):
+    members = np.asarray(members, dtype=np.int64)
+    return g.subset(np.concatenate([members, g.inv[members]]).tolist())
+
+
+PRECONDITION_EMBEDDINGS = ["cyclic-in-cyclic:2,8", "cyclic-in-cyclic:4,8",
+                           "cyclic-in-cyclic:2,16", "rotations-in-dihedral:6",
+                           "reflection-in-dihedral:4", "center-in-heisenberg:2",
+                           "factor2-in-product:dihedral:3,cyclic:2", "trivial:dihedral:4"]
+
+
+def _random_inputs(emb, rng):
+    sub, amb = emb.sub, emb.amb
+
+    def support(most):
+        return rng.choice(sub.order, size=int(rng.integers(1, min(most, sub.order) + 1)),
+                          replace=False)
+
+    x, y = random_element(sub, rng, support(3)), random_element(sub, rng, support(2))
+    V = _symmetric(amb, rng.choice(amb.order, size=int(rng.integers(1, 5)), replace=False))
+    return x, y, V
+
+
+@pytest.mark.parametrize("spec", PRECONDITION_EMBEDDINGS)
+def test_disjointness_preconditions_match_set_oracles(spec):
+    emb = build_embedding(spec)
+    g = emb.amb
+    rng = np.random.default_rng(42)
+    cases = [_random_inputs(emb, rng) for _ in range(30)]
+    cases.append((random_element(emb.sub, rng), emb.sub.delta_element(0), g.subset([0])))
+    outcomes = set()
+    for x, y, V in cases:
+        supp_x = np.flatnonzero(emb.push(x).coeffs).tolist()
+        supp_y = np.flatnonzero(emb.push(y).coeffs).tolist()
+        # contraction: condition (1) alone
+        fails = _translates_meet(g, supp_x, V.members)
+        outcomes.add(fails)
+        if fails:
+            with pytest.raises(PreconditionError, match=r"disjointness condition \(1\)"):
+                embedding_contraction_residual(emb, x, V, 3.0)
+        else:
+            embedding_contraction_residual(emb, x, V, 3.0)
+        # lower bound: conditions (1), (2), (3), reported in that order
+        failing = [k for k, bad in [
+            (1, fails),
+            (2, _translates_meet(g, [int(g.inv[t]) for t in supp_y], V.members)),
+            (3, _condition_3_fails(g, supp_x, supp_y, V.members)),
+        ] if bad]
+        if failing:
+            with pytest.raises(PreconditionError,
+                               match=rf"disjointness condition \({failing[0]}\)"):
+                embedding_lower_residual(emb, x, V, 4.0, y)
+        else:
+            embedding_lower_residual(emb, x, V, 4.0, y)
+    assert outcomes == {True, False}
+
+
+def test_precondition_fixtures_match_set_oracles():
+    emb = build_embedding("cyclic-in-cyclic:4,8")
+    V = emb.amb.subset([7, 0, 1])
+    assert _translates_meet(emb.amb, [0, 2, 4, 6], V.members)
+    emb = build_embedding("trivial:cyclic:16")
+    assert _condition_3_fails(emb.amb, range(16), range(16), [14, 15, 0, 1, 2])
+    emb = build_embedding("cyclic-in-cyclic:2,8")
+    assert _not_fundamental_domain(emb, emb.amb.subset([0, 1, 2]))
+    assert _not_fundamental_domain(emb, emb.amb.subset([0, 1, 2, 4]))
+    assert not _not_fundamental_domain(emb, emb.amb.subset([0, 1, 2, 3]))
+
+
+@pytest.mark.parametrize("spec", PRECONDITION_EMBEDDINGS)
+def test_fundamental_domain_matches_set_oracle(spec):
+    emb = build_embedding(spec)
+    g = emb.amb
+    m = symbol_from_spec(g, "random:3")
+    rng = np.random.default_rng(43)
+    k = g.order // emb.sub.order
+    # cosets gamma X must tile G: draw one element of each right coset H x, or
+    # k arbitrary elements, or a domain one element too large or too small
+    coset_of = g.mul[emb.map[:, None], np.arange(g.order)].min(axis=0)
+    cosets = np.unique(coset_of)
+    outcomes = set()
+    for i in range(24):
+        if i % 3 == 0:
+            X = [int(rng.choice(np.flatnonzero(coset_of == c))) for c in cosets]
+        else:
+            size = k + (i % 3 == 1) * int(rng.integers(-1, 2))
+            X = rng.choice(g.order, size=max(size, 0), replace=False).tolist()
+        X = g.subset(X)
+        bad = _not_fundamental_domain(emb, X)
+        outcomes.add(bad)
+        if bad:
+            with pytest.raises(PreconditionError, match="fundamental domain"):
+                lattice_maps_report(emb, X, m, (2.0,), 1, rng)
+        else:
+            assert lattice_maps_report(emb, X, m, (2.0,), 1, rng).passed
+    assert outcomes == {True, False}
