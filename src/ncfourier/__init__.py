@@ -58,7 +58,6 @@ from .multipliers import (
 from .nclp import (
     PolarPair,
     conjugate_exponent,
-    dual_pairing,
     lp_norm,
     plancherel_trace,
     polar_parts,

@@ -339,8 +339,8 @@ def key_lemma_ratio(eps: float, R: float, rho: float, cfg: McConfig) -> tuple[Mc
     Each volume is a hit-or-miss estimate over the sheared band that encloses
     the tube (see ``_tube_volume_mc``), where about 90% of the draws land
     inside; the two volumes use independent streams derived from the seed."""
-    if rho < 1.0:
-        raise ValueError("rho must be >= 1")
+    if not 1.0 <= rho < math.inf:
+        raise ValueError(f"rho = {rho} is not finite and >= 1")
     if not (eps > 0 and R > 0):
         raise ValueError("eps and R must be positive")
     if eps > R / 5.0:

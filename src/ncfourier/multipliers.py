@@ -32,7 +32,7 @@ from .groups import (
     random_element,
     same_group,
 )
-from .nclp import exponent_tuple, lp_norm, lp_norm_gradient, lp_norms
+from .nclp import check_exponent, exponent_tuple, lp_norm, lp_norm_gradient, lp_norms
 
 __all__ = [
     "Symbol",
@@ -315,10 +315,10 @@ def estimate_norm(
     best so far when it is strictly larger.
     """
     ps = exponent_tuple(ps)
-    p = float(p)
+    p = check_exponent(p)
     if len(ps) != m.arity:
         raise ValueError("exponent tuple length must match symbol arity")
-    if any(q < 1 or math.isinf(q) for q in ps) or p < 1 or math.isinf(p):
+    if any(math.isinf(q) for q in ps) or math.isinf(p):
         raise ValueError("optimizer handles finite exponents >= 1 only")
 
     group, n, N = m.parent, m.arity, m.parent.order
@@ -574,6 +574,8 @@ def symbol_from_spec(group: FiniteGroup, spec: str, arity: int = 1) -> Symbol:
     N = group.order
     if kind == "gaussian":
         sigma = float(rest)
+        if not 0.0 < sigma < math.inf:
+            raise ValueError(f"gaussian width {rest!r} is not in (0, inf)")
         dist = group.word_distances().astype(float)
         one = np.exp(-(dist ** 2) / (2.0 * sigma ** 2))
         values = _coeff_outer([one] * arity) if arity > 1 else one

@@ -8,8 +8,11 @@ regular representation, computed on its irreducible blocks (Plancherel,
 ``FiniteGroup.spectral()``), so no NxN matrix is formed or factorized.
 ``lp_norms`` and ``lp_norm_gradient`` take (..., N) coefficient stacks and
 return one value per row; ``lp_norm`` is the one-element case of the same
-code.  ``matrix_lp_norm`` stays for operators that are not algebra elements.
-Exponents are plain floats with math.inf as a first-class value.
+code.  Blocks of size 1 and 2 are factorized in closed form (see ``_svd2``);
+only blocks of size >= 3 go to ``numpy.linalg.svd``.  ``matrix_lp_norm``
+stays for operators that are not algebra elements.  Exponents are plain
+floats in [1, inf] with math.inf as a first-class value; ``check_exponent``
+is the one place that validates them.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import AlgebraElement, FiniteGroup, GroupSubset, _same_parent, regular_matrix
+from .groups import AlgebraElement, FiniteGroup, GroupSubset, regular_matrix
 
 __all__ = [
     "conjugate_exponent",
@@ -29,16 +32,22 @@ __all__ = [
     "lp_norms",
     "lp_norm_gradient",
     "matrix_lp_norm",
-    "dual_pairing",
     "PolarPair",
     "polar_parts",
 ]
 
 
+def check_exponent(p) -> float:
+    """p as a float, if 1 <= p <= inf; anything else (NaN too) is a ValueError."""
+    p = float(p)
+    if not 1.0 <= p <= math.inf:
+        raise ValueError(f"exponent {p} is not in [1, inf]")
+    return p
+
+
 def conjugate_exponent(p: float) -> float:
     """p' with 1/p + 1/p' = 1; conjugates 1 and infinity explicitly."""
-    if p < 1:
-        raise ValueError(f"exponent {p} < 1")
+    p = check_exponent(p)
     if p == 1:
         return math.inf
     if math.isinf(p):
@@ -48,7 +57,7 @@ def conjugate_exponent(p: float) -> float:
 
 def exponent_tuple(ps) -> tuple[float, ...]:
     """Exponents as a tuple of floats; a single number means one exponent."""
-    return tuple(float(q) for q in (ps if isinstance(ps, (tuple, list)) else [ps]))
+    return tuple(check_exponent(q) for q in (ps if isinstance(ps, (tuple, list)) else [ps]))
 
 
 def plancherel_trace(f: AlgebraElement) -> complex:
@@ -62,8 +71,7 @@ def matrix_lp_norm(mat: np.ndarray, p: float, trace_dim: int | None = None) -> f
     ``trace_dim`` overrides the normalization dimension N (defaults to the
     matrix size).
     """
-    if p < 1:
-        raise ValueError(f"exponent {p} < 1")
+    p = check_exponent(p)
     n = trace_dim if trace_dim is not None else mat.shape[0]
     try:
         sigma = np.linalg.svd(mat, compute_uv=False)
@@ -81,8 +89,7 @@ def lp_norm(f: AlgebraElement, p: float) -> float:
 
 def lp_norms(group: FiniteGroup, coeffs: np.ndarray, p: float) -> np.ndarray:
     """L_p norms of a (..., N) stack of coefficient vectors, one per row."""
-    if p < 1:
-        raise ValueError(f"exponent {p} < 1")
+    p = check_exponent(p)
     spec = group.spectral()
     sigmas = [_singular_values(b) for b in spec.forward(coeffs)]
     if math.isinf(p):
@@ -95,8 +102,7 @@ def lp_norm_gradient(
     group: FiniteGroup, coeffs: np.ndarray, p: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """||lambda(f)||_p (1 < p < inf) of each row f of a (..., N) coefficient
-    stack, and the ascent direction of the norm in the coefficients of f,
-    from one SVD per block stack.
+    stack, and the ascent direction of the norm in the coefficients of f.
 
     Each block f^(pi) = U sigma V^H gives G_pi = U sigma^(p-1) V^H (constant
     factors dropped, since callers renormalize steps), pulled back by the
@@ -107,13 +113,8 @@ def lp_norm_gradient(
     spec = group.spectral()
     total, grads = 0.0, []
     for d, b in zip(spec.dims, spec.forward(coeffs)):
-        if d == 1:
-            mag = np.abs(b)
-            sigma = mag[..., 0]
-            grads.append(b * np.power(mag, p - 2.0, out=np.zeros(mag.shape), where=mag > 0))
-        else:
-            u, sigma, vh = np.linalg.svd(b)
-            grads.append((u * sigma[..., None, :] ** (p - 1.0)) @ vh)
+        sigma, grad = _block_gradient(b, p)
+        grads.append(grad)
         total = total + d * (sigma ** p).sum(axis=(-2, -1))
     return (total / spec.order) ** (1.0 / p), spec.adjoint(grads)
 
@@ -122,13 +123,86 @@ def _singular_values(blocks: np.ndarray) -> np.ndarray:
     """Singular values of a (..., k, d, d) block stack, shape (..., k, d)."""
     if blocks.shape[-1] == 1:
         return np.abs(blocks[..., 0])
+    if blocks.shape[-1] == 2:
+        return _svd2(blocks)[0]
     return np.linalg.svd(blocks, compute_uv=False)
 
 
-def dual_pairing(phi: AlgebraElement, f: AlgebraElement) -> complex:
-    """Concrete duality pairing sum_s phi(s) f(s) (no conjugation)."""
-    _same_parent(phi, f)
-    return complex(np.sum(phi.coeffs * f.coeffs))
+def _block_gradient(blocks: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values of a (..., k, d, d) block stack and U sigma^(p-1) V^H
+    of each block, for 1 < p < inf."""
+    d = blocks.shape[-1]
+    if d == 1:
+        mag = np.abs(blocks)
+        return mag[..., 0], blocks * np.power(mag, p - 2.0, out=np.zeros(mag.shape), where=mag > 0)
+    if d == 2:
+        return _svd2(blocks, p)
+    u, sigma, vh = np.linalg.svd(blocks)
+    return sigma, (u * sigma[..., None, :] ** (p - 1.0)) @ vh
+
+
+_COFACTOR_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])[:, None]
+_TINY = np.finfo(float).tiny
+
+
+def _svd2(blocks: np.ndarray, p: float | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Singular values (..., k, 2) of a (..., k, 2, 2) block stack in closed
+    form and, given p, U sigma^(p-1) V^H of each block (else None).
+
+    sigma_1^2 = (||A||_F^2 + gap) / 2 with gap = sigma_1^2 - sigma_2^2 taken
+    from the entries of A^H A (||A||_F^4 - 4|det A|^2 would cancel when
+    sigma_1 ~ sigma_2), and sigma_2 = |det A| / sigma_1, never a difference.
+    The gradient is sigma_1^(p-2) (alpha A + beta C) with C = (det A / |det A|)
+    [[d*, -c*], [-b*, a*]] = U diag(sigma_2, sigma_1) V^H.  With
+    r = sigma_2 / sigma_1 and g_q = (1 - r^q) / (1 - r^2), alpha = g_p and
+    beta = (r^(p-1) - r) / (1 - r^2), which is r^(p-1) g_(2-p) below p = 2 and
+    -r g_(p-2) above, so no factor is a difference near r = 1.  Each g_q
+    comes from L = -log r^2 = log1p(gap / sigma_2^2) and t = 1 - r^2 =
+    gap / sigma_1^2, both accurate whether r is near 0 or near 1.
+    """
+    lead = blocks.shape[:-2]
+    entries = blocks.reshape(-1, 4).T.copy()  # rows a, b, c, d of [[a, b], [c, d]]
+    conj = entries.conj()
+    sq = (conj * entries).real
+    h = sq[:2] + sq[2:]  # |a|^2 + |c|^2 and |b|^2 + |d|^2, the diagonal of A^H A
+    cross = conj[::2] * entries[1::2]  # a* b and c* d
+    prods = entries[:2] * entries[:1:-1]  # a d and b c
+    det = prods[0] - prods[1]
+    mag = np.abs(det)
+    gap = np.hypot(h[0] - h[1], 2.0 * np.abs(cross[0] + cross[1]))
+    s1_sq = 0.5 * (h[0] + h[1] + gap)
+    sigma = np.empty((2, gap.size))
+    s1 = np.sqrt(s1_sq, out=sigma[0])
+    # s1 = 0 only on a zero block, whose det is 0 too
+    s1_safe = np.maximum(s1, _TINY)
+    s2 = np.minimum(mag / s1_safe, s1, out=sigma[1])
+    values = sigma.T.reshape(lead + (2,))
+    if p is None:
+        return values, None
+    if p == 2.0:
+        return values, blocks
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = gap / s1_sq
+        log_ratio = np.log1p(gap / (s2 * s2))
+        r = s2 / s1_safe
+        alpha = _mean_power(p, log_ratio, t)
+        if p < 2.0:
+            beta = r ** (p - 1.0) * _mean_power(2.0 - p, log_ratio, t)
+        else:
+            beta = -r * _mean_power(p - 2.0, log_ratio, t)
+    scale = s1_safe ** (p - 2.0)
+    phase = det / (mag + (mag == 0))  # det / |det|, and 0 where det = 0
+    grad = (scale * alpha) * entries + (scale * beta * phase) * (conj[::-1] * _COFACTOR_SIGNS)
+    return values, grad.T.reshape(lead + (2, 2))
+
+
+def _mean_power(q: float, log_ratio: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """g_q = (1 - r^q) / (1 - r^2) = -expm1(-(q/2) L) / t for L = -log r^2 and
+    t = 1 - r^2.  g_q is the mean of (q/2) x^(q/2-1) over [r^2, 1], so it lies
+    between 1 and q/2 and tends to q/2 as r -> 1: clamping there maps the 0/0
+    of equal singular values (and of zero blocks) to that limit, no cutoff."""
+    clamp = np.fmin if q > 2.0 else np.fmax
+    return clamp(-np.expm1(-0.5 * q * log_ratio) / t, 0.5 * q)
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .groups import AlgebraElement, FiniteGroup, regular_matrix
 from .multipliers import Symbol, apply_multiplier
-from .nclp import conjugate_exponent
+from .nclp import check_exponent, conjugate_exponent
 
 __all__ = [
     "TransferenceResult",
@@ -91,7 +91,8 @@ def hertz_schur_transference_residual(
         raise ValueError(f"Folner radius {alpha} is negative")
     if alpha > L // 4:
         raise ValueError(f"Folner radius {alpha} too large for L = {L}")
-    if p1 < 1 or p2 < 1 or 1.0 / p1 + 1.0 / p2 > 1.0 + 1e-12:
+    p1, p2 = check_exponent(p1), check_exponent(p2)
+    if 1.0 / p1 + 1.0 / p2 > 1.0 + 1e-12:
         raise ValueError("need p1, p2 >= 1 with 1/p1 + 1/p2 <= 1")
     p = 1.0 / (1.0 / p1 + 1.0 / p2)
     pprime = conjugate_exponent(p)

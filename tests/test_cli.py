@@ -205,6 +205,18 @@ def test_usage_errors():
     # e^x reaches cosh(21) on ball:30: over 1% of the log roundtrips fail
     ["delta-mc", "--model", "sl:2", "--rho", "3", "--F-count", "2", "--W", "ball:30",
      "--samples", "100000", "--seed", "4"],
+    # NaN fails every comparison, so it must be rejected, not slip past p < 1
+    ["norm", "--group", "dihedral:3", "--symbol", "random:1", "--p", "nan"],
+    ["norm", "--group", "dihedral:3", "--symbol", "random:1", "--p", "3", "--ps", "3,nan"],
+    ["norm", "--group", "dihedral:3", "--symbol", "random:1", "--p", "0.5"],
+    ["restrict", "--embedding", "cyclic-in-cyclic:2,4", "--symbol", "random:1", "--p", "nan"],
+    ["transference", "--p1", "nan"],
+    ["key-lemma", "--rho", "nan", "--R", "0.5", "--eps", "0.05"],
+    ["key-lemma", "--rho", "inf", "--R", "0.5", "--eps", "0.05"],
+    ["norm", "--group", "dihedral:3", "--symbol", "gaussian:-1", "--p", "3"],
+    ["norm", "--group", "dihedral:3", "--symbol", "gaussian:0", "--p", "3"],
+    ["norm", "--group", "dihedral:3", "--symbol", "gaussian:inf", "--p", "3"],
+    ["norm", "--group", "dihedral:3", "--symbol", "gaussian:nan", "--p", "3"],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert run(argv) == 2

