@@ -24,9 +24,7 @@ from .liealg import (
     adjoint_norm,
     build_model,
     exp_density,
-    kak_log_profile,
     max_nilpotent_dim,
-    nilcone_tube_membership,
     nilpotent_orbit_dim,
     orbit_min_norm,
 )

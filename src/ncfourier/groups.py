@@ -861,9 +861,6 @@ class SubgroupEmbedding:
         coeffs[self.map] = x.coeffs
         return AlgebraElement(self.amb, coeffs)
 
-    def image(self) -> GroupSubset:
-        return self.amb.subset(self.map.tolist())
-
 
 def build_embedding(spec: str) -> SubgroupEmbedding:
     """Build a named subgroup embedding.
@@ -880,8 +877,10 @@ def build_embedding(spec: str) -> SubgroupEmbedding:
         g = build_group(rest)
         return SubgroupEmbedding(g, g, np.arange(g.order))
     if kind == "cyclic-in-cyclic":
-        d_str, n_str = rest.split(",")
-        d, n = int(d_str), int(n_str)
+        orders = rest.split(",")
+        if len(orders) != 2:
+            raise GroupError(f"cyclic-in-cyclic needs two orders d,N, got {rest!r}")
+        d, n = int(orders[0]), int(orders[1])
         if d < 1 or n < 1:
             raise GroupError(f"cyclic-in-cyclic orders must be >= 1, got {d},{n}")
         if n % d != 0:

@@ -3,16 +3,16 @@ Heisenberg algebra.
 
 The invariant form is the trace form B(x,y) = trace(xy), so the associated
 inner product B_theta(x,y) = -B(x, theta(y)) with theta(y) = -y^T is the
-Frobenius inner product.  (The Killing form differs by the constant 2n on
-sl(n); every ratio verified downstream is invariant under that rescaling.)
-The Heisenberg model is not reductive: it carries no Cartan involution and
-the adjoint-ball / KAK / orbit-norm operations require an sl model.
+Frobenius inner product, which every norm here uses directly.  (The Killing
+form differs by the constant 2n on sl(n); every ratio verified downstream is
+invariant under that rescaling.)  The Heisenberg model is not reductive: it
+has no Cartan involution, and the orbit-norm and nilpotent-orbit operations
+require an sl model.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,16 +24,12 @@ __all__ = [
     "build_model",
     "ad_operator",
     "adjoint_norm",
-    "ball_checks",
-    "kak_log_profile",
     "is_nilpotent_matrix",
     "nilpotent_orbit_dim",
     "max_nilpotent_dim",
     "exp_density",
     "orbit_min_norm",
-    "nilcone_tube_membership",
     "random_special_orthogonal",
-    "random_nilpotent",
 ]
 
 
@@ -44,8 +40,6 @@ class LieModel:
     dim: int
     basis: tuple[np.ndarray, ...]
     bracket: np.ndarray         # c[i,j,k]: [b_i, b_j] = sum_k c[i,j,k] b_k
-    cartan_involution: np.ndarray | None  # theta on coordinates; None if absent
-    inner: np.ndarray           # Gram matrix of B_theta in the basis
     _flat: np.ndarray = None    # (n^2, dim) flattened basis, for coordinates
     _pinv: np.ndarray = None
     _onb: np.ndarray = None     # (n^2, dim) Frobenius-orthonormal spanning basis
@@ -80,9 +74,6 @@ class AlgebraVector:
 
     def matrix(self) -> np.ndarray:
         return self.model.matrix(self.coords)
-
-    def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.matrix(), "fro"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,16 +140,9 @@ def build_model(name: str) -> LieModel:
             comm = basis[i] @ basis[j] - basis[j] @ basis[i]
             bracket[i, j] = pinv @ comm.ravel()
     q, _ = np.linalg.qr(flat)
-    inner = flat.T @ flat  # Frobenius Gram matrix (B_theta for sl)
-    if name.startswith("sl:"):
-        theta = np.zeros((dim, dim))
-        for j, b in enumerate(basis):
-            theta[:, j] = pinv @ (-b.T).ravel()
-    else:
-        theta = None
     model = LieModel(
         name=name, n=size, dim=dim, basis=tuple(basis), bracket=bracket,
-        cartan_involution=theta, inner=inner, _flat=flat, _pinv=pinv, _onb=q,
+        _flat=flat, _pinv=pinv, _onb=q,
     )
     _validate_model(model)
     return model
@@ -175,12 +159,6 @@ def _validate_model(model: LieModel) -> None:
     )
     if np.max(np.abs(jac)) > 1e-12:
         raise AssertionError("Jacobi identity fails")
-    if np.min(np.linalg.eigvalsh(model.inner)) <= 0:
-        raise AssertionError("inner product is not positive definite")
-    if model.cartan_involution is not None:
-        th = model.cartan_involution
-        if np.max(np.abs(th @ th - np.eye(model.dim))) > 1e-12:
-            raise AssertionError("cartan involution does not square to identity")
 
 
 def ad_operator(x: AlgebraVector) -> np.ndarray:
@@ -207,47 +185,18 @@ def adjoint_norm(g: GroupMatrix) -> float:
     return float(np.linalg.svd(_adjoint_operator_matrix(g), compute_uv=False)[0])
 
 
-def random_special_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    q = q * np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
+def _special_orthogonal(normals: np.ndarray) -> np.ndarray:
+    """Q from the QR factorization of each (..., n, n) Gaussian matrix, with
+    the signs fixed by diag(R) > 0 (so Q is Haar on O(n)) and the first
+    column negated where det Q = -1."""
+    q, r = np.linalg.qr(normals)
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    q[..., :, 0] *= np.where(np.linalg.det(q) < 0, -1.0, 1.0)[..., None]
     return q
 
 
-def ball_checks(g: GroupMatrix, rho: float, rng: np.random.Generator | None = None) -> dict:
-    """Adjoint-ball membership report with inversion and K-bi-invariance gaps."""
-    if rho < 1.0:
-        raise ValueError("adjoint balls need rho >= 1")
-    rng = rng or np.random.default_rng(0)
-    model = g.model
-    nrm = adjoint_norm(g)
-    inv_gap = abs(adjoint_norm(GroupMatrix(model, np.linalg.inv(g.mat))) - nrm)
-    k_gap = 0.0
-    for _ in range(8):
-        k1 = random_special_orthogonal(model.n, rng)
-        k2 = random_special_orthogonal(model.n, rng)
-        moved = GroupMatrix(model, k1 @ g.mat @ k2)
-        k_gap = max(k_gap, abs(adjoint_norm(moved) - nrm))
-    return {
-        "norm": nrm,
-        "member": nrm <= rho * (1.0 + 1e-12),
-        "inversion_gap": inv_gap,
-        "k_invariance_gap": k_gap,
-    }
-
-
-def kak_log_profile(g: GroupMatrix) -> tuple[np.ndarray, float]:
-    """Sorted log singular values (the log of the KAK middle factor) and the
-    largest root value max_{i != j} (h_i - h_j) = h_max - h_min.
-
-    Membership in the rho-ball is equivalent to h_max - h_min <= log rho.
-    """
-    if not g.model.is_sl():
-        raise ValueError("KAK profile requires an sl model")
-    sigma = np.linalg.svd(g.mat, compute_uv=False)
-    h = np.sort(np.log(sigma))[::-1]
-    return h, float(h[0] - h[-1])
+def random_special_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
+    return _special_orthogonal(rng.standard_normal((n, n)))
 
 
 def is_nilpotent_matrix(mat: np.ndarray, tol: float = 1e-9) -> bool | np.ndarray:
@@ -277,61 +226,21 @@ def nilpotent_orbit_dim(x: AlgebraVector) -> int:
     return int(_nilpotent_orbit_dims(x.model, x.coords[None])[0])
 
 
-# Pade-13 numerator coefficients and the 1-norm up to which degree 13 needs no
-# squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005, Table 2.3)
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-_THETA13 = 5.371920351148152
-
-
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp of every matrix in a (S, n, n) stack by scaling and squaring with the
-    degree-13 Pade approximant (Higham 2005): matrix i is scaled by 2^-s_i with
-    s_i the least s >= 0 that brings its 1-norm to <= theta_13, the whole stack
-    is approximated by stacked products and one batched solve, and each result
-    is squared s_i times."""
-    norms = np.abs(a).sum(axis=-2).max(axis=-1)
-    with np.errstate(divide="ignore"):
-        s = np.maximum(0, np.ceil(np.log2(norms / _THETA13))).astype(int)
-    a = a / np.exp2(s)[:, None, None]
-    b = _PADE13
-    eye = np.eye(a.shape[-1])
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
-    r = np.linalg.solve(v - u, v + u)
-    for k in range(int(s.max(initial=0))):
-        more = s > k
-        r[more] = r[more] @ r[more]
-    return r
-
-
-def _random_nilpotent_coords(model: LieModel, rng: np.random.Generator, count: int) -> np.ndarray:
+def _rotated_nilpotent_coords(model: LieModel, rng: np.random.Generator, count: int) -> np.ndarray:
     """(count, dim) coordinates of random strictly upper-triangular matrices,
-    each conjugated by exp of a random traceless matrix; sample i uses the
-    normals 2 i n^2 .. 2 (i + 1) n^2 - 1 of the stream (first the upper
-    triangle, then the conjugator).  The exponentials of all count conjugators
-    come from one batched scaling-and-squaring call (``_expm``)."""
+    each conjugated by a random rotation; sample i uses the normals
+    2 i n^2 .. 2 (i + 1) n^2 - 1 of the stream (first the upper triangle,
+    then the Gaussian matrix whose QR factor is the rotation).
+
+    By the real Schur form every real nilpotent matrix is orthogonally similar
+    to a strictly upper-triangular one, so these conjugates reach the whole
+    nilpotent cone; a rotation is perfectly conditioned and its inverse is its
+    transpose."""
     n = model.n
     draws = rng.standard_normal((count, 2, n, n))
-    upper = np.triu(draws[:, 0], 1)
-    p = draws[:, 1] * 0.3
-    p -= (np.trace(p, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
-    g = _expm(p)
-    mats = g @ upper @ np.linalg.inv(g)
+    q = _special_orthogonal(draws[:, 1])
+    mats = q @ np.triu(draws[:, 0], 1) @ np.swapaxes(q, 1, 2)
     return mats.reshape(count, n * n) @ model._pinv.T
-
-
-def random_nilpotent(model: LieModel, rng: np.random.Generator) -> AlgebraVector:
-    """Random strictly upper-triangular element conjugated by a random group element."""
-    return model.vector(_random_nilpotent_coords(model, rng, 1)[0])
 
 
 # samples per batched sweep step: bounds the (chunk, dim, dim) ad stack
@@ -345,8 +254,8 @@ def max_nilpotent_dim(
 
     For sl:n this is the orbit of the single-Jordan-block nilpotent; a
     randomized sweep checks that no sampled nilpotent orbit exceeds it.  The
-    sweep runs batched, in chunks of up to ``_SWEEP_CHUNK`` samples that draw
-    the same stream as ``random_nilpotent`` called once per sample.
+    sweep runs batched, in chunks of up to ``_SWEEP_CHUNK`` samples that
+    continue one stream: the samples are those of one call for all of them.
     Returns None for heisenberg3 (not a reductive model; the notion drives
     nothing there).
     """
@@ -358,7 +267,7 @@ def max_nilpotent_dim(
     d = nilpotent_orbit_dim(model.vector_from_matrix(regular))
     for start in range(0, samples, _SWEEP_CHUNK):
         count = min(_SWEEP_CHUNK, samples - start)
-        dims = _nilpotent_orbit_dims(model, _random_nilpotent_coords(model, rng, count))
+        dims = _nilpotent_orbit_dims(model, _rotated_nilpotent_coords(model, rng, count))
         if np.any(dims > d):
             cand = int(dims[np.argmax(dims > d)])
             raise AssertionError(
@@ -376,8 +285,9 @@ def exp_density(
     ``method="eigen"``, the product prod |(1 - e^{-mu_i}) / mu_i| over the
     complex spectrum of ad_x, is exact; ``method="series"``, the truncated
     power series Id - ad/2! + ad^2/3! - ..., is kept as an independent route
-    and hands off to the eigenvalue path (with a warning) when
-    ||ad_x|| > pi, where the truncation degrades.
+    and raises ``ValueError`` when ||ad_x|| > pi, where the truncation
+    degrades: a fallback to the eigenvalue product would compare that
+    product with itself.
     """
     ad = ad_operator(x)
     if method not in ("eigen", "series"):
@@ -387,18 +297,13 @@ def exp_density(
             raise ValueError("series needs at least 8 terms")
         norm_ad = float(np.linalg.norm(ad, 2))
         if norm_ad > math.pi:
-            warnings.warn(
-                f"||ad_x|| = {norm_ad:.3f} > pi: series truncation unreliable, "
-                "switching to the eigenvalue product",
-                RuntimeWarning,
-            )
-        else:
-            term = np.eye(x.model.dim)
-            phi = np.eye(x.model.dim)
-            for k in range(1, series_terms):
-                term = term @ (-ad) / (k + 1.0)
-                phi = phi + term
-            return abs(float(np.linalg.det(phi)))
+            raise ValueError(f"||ad_x|| = {norm_ad:.3f} > pi: the truncated series is unreliable")
+        term = np.eye(x.model.dim)
+        phi = np.eye(x.model.dim)
+        for k in range(1, series_terms):
+            term = term @ (-ad) / (k + 1.0)
+            phi = phi + term
+        return abs(float(np.linalg.det(phi)))
     mu = np.linalg.eigvals(ad)
     factors = np.ones(len(mu), dtype=complex)
     big = np.abs(mu) > 1e-8
@@ -409,7 +314,7 @@ def exp_density(
 
 
 # ---------------------------------------------------------------------------
-# orbit norm infimum and the nilpotent-cone tubes
+# orbit norm infimum
 
 
 def orbit_min_norm(x: AlgebraVector) -> float:
@@ -431,18 +336,3 @@ def orbit_min_norm(x: AlgebraVector) -> float:
         raise ValueError("orbit norms need an sl model")
     lam = np.linalg.eigvals(x.matrix())
     return float(np.sqrt(np.sum(np.abs(lam) ** 2)))
-
-
-def nilcone_tube_membership(x: AlgebraVector, eps: float, radius: float) -> bool:
-    """x lies in the tube around the nilpotent cone: its orbit meets the open
-    eps-ball and x itself lies in the open radius-ball.
-
-    The orbit test inherits the rounding floor of ``orbit_min_norm``: about
-    ||x|| u^{1/k} for a Jordan block of size k, so an eps below that floor
-    can exclude a nilpotent element.
-    """
-    if eps <= 0 or radius <= 0:
-        raise ValueError("eps and radius must be positive")
-    if x.frobenius_norm() >= radius:
-        return False
-    return orbit_min_norm(x) < eps

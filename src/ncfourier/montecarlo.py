@@ -319,6 +319,8 @@ def delta_mc_finite(
 ) -> McEstimate:
     """Finite-group specialization: sample uniformly from V and count the
     fraction landing in every conjugate s V s^{-1}, s in F."""
+    if len(V) == 0:
+        raise ValueError("V is empty")
     members = np.array(sorted(V.members), dtype=np.int64)
     # the elements of G lying in every conjugate s V s^{-1}, s in F
     surviving = _conjugation_mask(group, F.sorted(), members).all(axis=0)
@@ -392,6 +394,8 @@ def sample_adjoint_ball_sl2(
     factors and middle factor diag(e^h, e^-h) with h uniform on
     2|h| <= log rho.  This is not the Haar distribution on the ball, whose
     weight in t = |h| is sinh(2t)."""
+    if model.name != "sl:2":
+        raise ValueError(f"the adjoint-ball sampler needs the sl:2 model, got {model.name}")
     if not (1.0 <= rho < math.inf):
         raise ValueError("adjoint balls need 1 <= rho < infinity")
     if count < 0:

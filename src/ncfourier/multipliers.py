@@ -44,7 +44,6 @@ __all__ = [
     "restrict_symbol",
     "consummation_residual",
     "translation_residual",
-    "translation_norm_invariance",
     "nested_residual",
     "symbol_from_spec",
     "symbol_from_csv",
@@ -55,6 +54,9 @@ MAX_TABLE = 2 ** 24
 # estimate_norm advances its starts in chunks whose symbol-sized tensors (one
 # N^arity table per start) hold at most this many entries: 16 MB of complex
 _STACK_ENTRIES = 2 ** 20
+# a start stops when an accepted step improves its ratio by less than this,
+# relatively
+_STEP_TOLERANCE = 1e-10
 
 
 @dataclass(eq=False)
@@ -123,14 +125,11 @@ def _apply_stack(m: Symbol, cs: list[np.ndarray]) -> np.ndarray:
 class OptimizerConfig:
     restarts: int = 50
     max_iterations: int = 80
-    step_tolerance: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.step_tolerance <= 0:
-            raise ValueError("step_tolerance must be > 0")
 
 
 @dataclass(eq=False)
@@ -239,7 +238,7 @@ def _ascend(m: Symbol, fs: list[np.ndarray], nudge_seeds: list[int], ps_opt, p_o
     Each row follows the one-start rule: step 0.5, grown by 1.2 (up to 2) on
     an accepted step and halved on a rejected one; a flat gradient gets a
     1e-9 nudge from the row's own generator; the row stops when an accepted
-    step improves by less than ``step_tolerance`` relatively or the step
+    step improves by less than ``_STEP_TOLERANCE`` relatively or the step
     falls below 1e-12 (both count as converged), when a proposal cannot be
     normalized, or after ``max_iterations``.  Rows leave the batch through
     the ``active`` mask.
@@ -280,7 +279,7 @@ def _ascend(m: Symbol, fs: list[np.ndarray], nudge_seeds: list[int], ps_opt, p_o
             f[rows], g[rows] = x[up], gx[up]
         value[rows] = new_value[up]
         step[rows] = np.minimum(step[rows] * 1.2, 2.0)
-        stop = rows[improvement < cfg.step_tolerance * np.maximum(value[rows], 1e-30)]
+        stop = rows[improvement < _STEP_TOLERANCE * np.maximum(value[rows], 1e-30)]
         down = live[~up]
         step[down] *= 0.5
         stop = np.concatenate([stop, down[step[down] < 1e-12]])
@@ -393,6 +392,16 @@ def restrict_symbol(m: Symbol, emb: SubgroupEmbedding) -> Symbol:
     return Symbol(emb.sub, m.arity, m.values[ix])
 
 
+def _worst_deviation(m_tilde: Symbol, rhs, trials: int, rng: np.random.Generator) -> float:
+    """Max over ``trials`` draws of ||T_{m~}(x_1..x_n) - rhs([x_1..x_n])||_2,
+    each x_j a ``random_element`` drawn from rng in slot order."""
+    group, worst = m_tilde.parent, 0.0
+    for _ in range(trials):
+        xs = [random_element(group, rng) for _ in range(m_tilde.arity)]
+        worst = max(worst, lp_norm(apply_multiplier(m_tilde, *xs) - rhs(xs), 2.0))
+    return worst
+
+
 def consummate_symbol(m: Symbol, indices, n: int) -> Symbol:
     """Blow a symbol of arity k up to arity n by multiplying grouped arguments.
 
@@ -427,22 +436,18 @@ def consummation_residual(
     ps = tuple(ps)
     n = len(ps)
     m_tilde = consummate_symbol(m, indices, n)
-    group = m.parent
-    indices = [int(i) for i in indices]
-    bounds = indices + [n + 1]
-    worst = 0.0
-    for _ in range(trials):
-        xs = [random_element(group, rng) for _ in range(n)]
-        lhs = apply_multiplier(m_tilde, *xs)
+    bounds = [int(i) for i in indices] + [n + 1]
+
+    def grouped_apply(xs):
         grouped = []
         for j in range(m.arity):
             acc = xs[bounds[j] - 1]
             for t in range(bounds[j], bounds[j + 1] - 1):
                 acc = convolve(acc, xs[t])
             grouped.append(acc)
-        rhs = apply_multiplier(m, *grouped)
-        worst = max(worst, lp_norm(lhs - rhs, 2.0))
-    return worst
+        return apply_multiplier(m, *grouped)
+
+    return _worst_deviation(m_tilde, grouped_apply, trials, rng)
 
 
 def translate_symbol(m: Symbol, i: int, r: int, t: int, rp: int) -> Symbol:
@@ -459,27 +464,18 @@ def translate_symbol(m: Symbol, i: int, r: int, t: int, rp: int) -> Symbol:
     return Symbol(group, n, m.values[np.ix_(*maps)] if n > 1 else m.values[maps[0]])
 
 
-def _translated_inputs(
-    group: FiniteGroup, xs: list[AlgebraElement], r: int, t: int, rp: int, i: int
-) -> list[AlgebraElement]:
-    """lambda(r)x_1, ..., x_i lambda(t), lambda(t)* x_{i+1}, ..., x_n lambda(r')."""
-    n = len(xs)
+def translated_apply(
+    m: Symbol, xs: list[AlgebraElement], r: int, t: int, rp: int, i: int
+) -> AlgebraElement:
+    """lambda(r)* T_m(lambda(r)x_1, ..., x_i lambda(t), lambda(t)* x_{i+1}, ..., x_n lambda(r')) lambda(r')*."""
+    group, n = m.parent, len(xs)
     mod = list(xs)
     mod[0] = convolve(group.delta_element(r), mod[0])
     if n > 1:
         mod[i - 1] = convolve(mod[i - 1], group.delta_element(t))
         mod[i] = convolve(group.delta_element(int(group.inv[t])), mod[i])
     mod[n - 1] = convolve(mod[n - 1], group.delta_element(rp))
-    return mod
-
-
-def translated_apply(
-    m: Symbol, xs: list[AlgebraElement], r: int, t: int, rp: int, i: int
-) -> AlgebraElement:
-    """lambda(r)* T_m(lambda(r)x_1, ..., x_i lambda(t), lambda(t)* x_{i+1}, ..., x_n lambda(r')) lambda(r')*."""
-    group = m.parent
-    out = apply_multiplier(m, *_translated_inputs(group, xs, r, t, rp, i))
-    out = convolve(group.delta_element(int(group.inv[r])), out)
+    out = convolve(group.delta_element(int(group.inv[r])), apply_multiplier(m, *mod))
     return convolve(out, group.delta_element(int(group.inv[rp])))
 
 
@@ -487,32 +483,9 @@ def translation_residual(
     m: Symbol, i: int, r: int, t: int, rp: int, trials: int, rng: np.random.Generator
 ) -> float:
     """Max L_2 deviation between T of the translated symbol and the conjugated T_m."""
-    group, n = m.parent, m.arity
-    m_tilde = translate_symbol(m, i, r, t, rp)
-    worst = 0.0
-    for _ in range(trials):
-        xs = [random_element(group, rng) for _ in range(n)]
-        lhs = apply_multiplier(m_tilde, *xs)
-        rhs = translated_apply(m, xs, r, t, rp, i)
-        worst = max(worst, lp_norm(lhs - rhs, 2.0))
-    return worst
-
-
-def translation_norm_invariance(
-    m: Symbol, i: int, r: int, t: int, rp: int, ps, p: float, cfg: OptimizerConfig
-) -> float:
-    """|found norm of translated symbol - ratio of its transported witness under m|.
-
-    Witness transport is exact (multiplication by lambda(s) is a p-isometry),
-    so the two numbers agree to float noise regardless of optimizer quality.
-    """
-    group = m.parent
-    m_tilde = translate_symbol(m, i, r, t, rp)
-    est = estimate_norm(m_tilde, ps, p, cfg)
-    witness = [AlgebraElement(group, w) for w in est.witness]
-    moved = _translated_inputs(group, witness, r, t, rp, i)
-    ratio = evaluate_ratio(m, [x.coeffs for x in moved], est.ps, p)
-    return abs(ratio - est.value)
+    return _worst_deviation(
+        translate_symbol(m, i, r, t, rp), lambda xs: translated_apply(m, xs, r, t, rp, i),
+        trials, rng)
 
 
 def nested_symbol(ms: list[Symbol]) -> Symbol:
@@ -549,15 +522,7 @@ def nested_apply(ms: list[Symbol], xs: list[AlgebraElement]) -> AlgebraElement:
 
 def nested_residual(ms: list[Symbol], trials: int, rng: np.random.Generator) -> float:
     """Max L_2 deviation between the product symbol and the nested composition."""
-    group = ms[0].parent
-    m_tilde = nested_symbol(ms)
-    worst = 0.0
-    for _ in range(trials):
-        xs = [random_element(group, rng) for _ in range(len(ms))]
-        lhs = apply_multiplier(m_tilde, *xs)
-        rhs = nested_apply(ms, xs)
-        worst = max(worst, lp_norm(lhs - rhs, 2.0))
-    return worst
+    return _worst_deviation(nested_symbol(ms), lambda xs: nested_apply(ms, xs), trials, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ import numpy as np
 
 from .groups import AlgebraElement, FiniteGroup, GroupSubset, regular_matrix
 
+_SUBNORMAL = np.finfo(float).smallest_subnormal
+
 __all__ = [
     "conjugate_exponent",
     "plancherel_trace",
@@ -66,7 +68,9 @@ def plancherel_trace(f: AlgebraElement) -> complex:
 
 
 def matrix_lp_norm(mat: np.ndarray, p: float, trace_dim: int | None = None) -> float:
-    """Normalized Schatten p-norm ((1/N) sum sigma_i^p)^(1/p) of a square matrix.
+    """Normalized Schatten p-norm ((1/N) sum sigma_i^p)^(1/p) of a square matrix,
+    summed as sigma_1 ((1/N) sum (sigma_i / sigma_1)^p)^(1/p), so no power
+    overflows or underflows where the norm itself is representable.
 
     ``trace_dim`` overrides the normalization dimension N (defaults to the
     matrix size).
@@ -77,9 +81,10 @@ def matrix_lp_norm(mat: np.ndarray, p: float, trace_dim: int | None = None) -> f
         sigma = np.linalg.svd(mat, compute_uv=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numerical failure
         raise ArithmeticError(f"SVD failed for a {mat.shape} matrix: {exc}") from exc
-    if math.isinf(p):
-        return float(sigma[0]) if sigma.size else 0.0
-    return float((np.sum(sigma ** p) / n) ** (1.0 / p))
+    top = float(sigma[0]) if sigma.size else 0.0
+    if math.isinf(p) or top == 0.0:
+        return top
+    return top * float((np.sum((sigma / top) ** p) / n) ** (1.0 / p))
 
 
 def lp_norm(f: AlgebraElement, p: float) -> float:
@@ -88,14 +93,21 @@ def lp_norm(f: AlgebraElement, p: float) -> float:
 
 
 def lp_norms(group: FiniteGroup, coeffs: np.ndarray, p: float) -> np.ndarray:
-    """L_p norms of a (..., N) stack of coefficient vectors, one per row."""
+    """L_p norms of a (..., N) stack of coefficient vectors, one per row.
+    Each row's singular values are divided by their largest before the power
+    is taken, so no power overflows or underflows where the norm itself is
+    representable."""
     p = check_exponent(p)
     spec = group.spectral()
     sigmas = [_singular_values(b) for b in spec.forward(coeffs)]
+    top = functools.reduce(np.maximum, [s.max(axis=(-2, -1), initial=0.0) for s in sigmas])
     if math.isinf(p):
-        return functools.reduce(np.maximum, (s.max(axis=(-2, -1), initial=0.0) for s in sigmas))
-    total = sum(d * (s ** p).sum(axis=(-2, -1)) for d, s in zip(spec.dims, sigmas))
-    return (total / spec.order) ** (1.0 / p)
+        return top
+    # a zero row keeps scale > 0, and its sum stays 0
+    scale = np.maximum(top, _SUBNORMAL)
+    col = scale[..., None, None]
+    total = sum(d * ((s / col) ** p).sum(axis=(-2, -1)) for d, s in zip(spec.dims, sigmas))
+    return scale * (total / spec.order) ** (1.0 / p)
 
 
 def lp_norm_gradient(
@@ -109,6 +121,10 @@ def lp_norm_gradient(
     adjoint transform: the coefficient vector s -> sum_pi d_pi tr(pi(s)^* G_pi),
     which is the regular-matrix gradient summed over the entries (t, u) with
     t u^-1 = s.
+
+    The powers are taken unscaled, unlike in ``lp_norms``: its one caller,
+    the optimizer, passes T_m of inputs normalized to unit norm, whose size
+    stays near that of the symbol.
     """
     spec = group.spectral()
     total, grads = 0.0, []

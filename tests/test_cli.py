@@ -217,12 +217,32 @@ def test_usage_errors():
     ["norm", "--group", "dihedral:3", "--symbol", "gaussian:0", "--p", "3"],
     ["norm", "--group", "dihedral:3", "--symbol", "gaussian:inf", "--p", "3"],
     ["norm", "--group", "dihedral:3", "--symbol", "gaussian:nan", "--p", "3"],
+    # ||ad_x|| = 6 > pi: the series route cannot check the eigenvalue product
+    ["density", "--model", "sl:2", "--coords", "3,0,0"],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+CAUSES = [
+    (["delta-mc", "--group", "cyclic:8", "--F", "indices:1", "--V", "indices:",
+      "--samples", "10000"], "V is empty"),
+    (["restrict", "--embedding", "cyclic-in-cyclic:3", "--symbol", "random:1", "--p", "3"],
+     "cyclic-in-cyclic needs two orders d,N, got '3'"),
+    (["delta-mc", "--model", "heisenberg3"], "needs the sl:2 model, got heisenberg3"),
+    (["density", "--model", "sl:2", "--coords", "3,0,0"], "||ad_x|| = 6.000 > pi"),
+]
+
+
+@pytest.mark.parametrize("argv, cause", CAUSES, ids=[" ".join(argv) for argv, _ in CAUSES])
+def test_usage_error_names_its_cause(capsys, argv, cause):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and cause in err
+    assert len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("text, line", [

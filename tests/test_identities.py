@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
-from ncfourier.groups import build_group, random_element
+from ncfourier.groups import AlgebraElement, build_group, convolve, random_element
 from ncfourier.multipliers import (
     OptimizerConfig,
     Symbol,
     apply_multiplier,
     consummation_residual,
     consummate_symbol,
+    estimate_norm,
+    evaluate_ratio,
     nested_residual,
     nested_symbol,
     symbol_from_spec,
     translate_symbol,
-    translation_norm_invariance,
     translation_residual,
 )
 
@@ -85,12 +86,20 @@ def test_translated_symbol_table():
 
 
 def test_translation_norm_invariance_by_witness_transport():
+    # the witness of the translated symbol, moved to lambda(r) x_1 lambda(t)
+    # and lambda(t)* x_2 lambda(r'), reaches the same ratio under m: each
+    # lambda(s) is an L_p isometry, so the two agree whatever the optimizer found
     g = build_group("dihedral:3")
     m = symbol_from_spec(g, "random:11", arity=2)
-    gap = translation_norm_invariance(
-        m, 1, 3, 1, 4, (3.0, 3.0), 1.5, OptimizerConfig(restarts=15, seed=5)
-    )
-    assert gap <= 1e-9
+    r, t, rp = 3, 1, 4
+    est = estimate_norm(translate_symbol(m, 1, r, t, rp), (3.0, 3.0), 1.5,
+                        OptimizerConfig(restarts=15, seed=5))
+    x1, x2 = (AlgebraElement(g, w) for w in est.witness)
+    moved = [convolve(convolve(g.delta_element(r), x1), g.delta_element(t)),
+             convolve(convolve(g.delta_element(int(g.inv[t])), x2), g.delta_element(rp))]
+    ratio = evaluate_ratio(m, [x.coeffs for x in moved], est.ps, 1.5)
+    assert abs(ratio - est.value) <= 1e-9
+    assert est.value > m.sup_norm()
 
 
 def test_nested_trivial_all_ones():
@@ -99,8 +108,6 @@ def test_nested_trivial_all_ones():
     rng = np.random.default_rng(6)
     xs = [random_element(g, rng) for _ in range(3)]
     lhs = apply_multiplier(nested_symbol(ones), *xs)
-    from ncfourier.groups import convolve
-
     prod = convolve(convolve(xs[0], xs[1]), xs[2])
     assert np.max(np.abs(lhs.coeffs - prod.coeffs)) < 1e-10
     assert nested_residual(ones, 5, rng) <= 1e-12

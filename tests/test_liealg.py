@@ -10,20 +10,17 @@ from ncfourier.liealg import (
     GroupMatrix,
     ad_operator,
     adjoint_norm,
-    ball_checks,
     build_model,
     exp_density,
     is_nilpotent_matrix,
-    kak_log_profile,
     max_nilpotent_dim,
-    nilcone_tube_membership,
     nilpotent_orbit_dim,
     orbit_min_norm,
-    random_nilpotent,
     random_special_orthogonal,
     _nilpotent_orbit_dims,
-    _random_nilpotent_coords,
+    _rotated_nilpotent_coords,
 )
+from ncfourier.montecarlo import Neighborhood
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +50,7 @@ def test_heisenberg_structure():
     assert np.allclose(x @ y - y @ x, z)
     assert np.allclose(x @ z - z @ x, 0.0)
     assert np.allclose(y @ z - z @ y, 0.0)
-    assert h3.cartan_involution is None
+    assert not h3.is_sl()
 
 
 def test_sl3_jacobi_validated(sl3):
@@ -121,38 +118,40 @@ def test_adjoint_norm_submultiplicative(sl2):
         assert adjoint_norm(gh) <= adjoint_norm(g) * adjoint_norm(h) * (1 + 1e-9)
 
 
-def test_ball_checks(sl2):
+def test_ball_checks(sl2, sl3):
+    # the adjoint norm that defines the ball is invariant under inversion and
+    # K-bi-invariant, and 1 exactly on K
     rng = np.random.default_rng(3)
     k = random_special_orthogonal(2, rng)
-    rep = ball_checks(GroupMatrix(sl2, k), 1.0, rng)
-    assert rep["member"] and rep["norm"] == pytest.approx(1.0, abs=1e-9)
-    rep = ball_checks(GroupMatrix(sl2, np.diag([2.0, 0.5])), 4.0, rng)
-    assert rep["member"]
-    assert rep["inversion_gap"] <= 1e-9
-    assert rep["k_invariance_gap"] <= 1e-8
-    rep = ball_checks(GroupMatrix(sl2, np.diag([3.0, 1.0 / 3.0])), 4.0, rng)
-    assert not rep["member"]
-    with pytest.raises(ValueError):
-        ball_checks(GroupMatrix(sl2, np.eye(2)), 0.5, rng)
+    assert adjoint_norm(GroupMatrix(sl2, k)) == pytest.approx(1.0, abs=1e-9)
+    for model in (sl2, sl3):
+        n = model.n
+        for _ in range(10):
+            p = rng.standard_normal((n, n)) * 0.6
+            g = expm(p - np.trace(p) / n * np.eye(n))
+            nrm = adjoint_norm(GroupMatrix(model, g))
+            inverse = adjoint_norm(GroupMatrix(model, np.linalg.inv(g)))
+            assert abs(inverse - nrm) <= 1e-9 * nrm
+            for _ in range(8):
+                k1 = random_special_orthogonal(n, rng)
+                k2 = random_special_orthogonal(n, rng)
+                moved = adjoint_norm(GroupMatrix(model, k1 @ g @ k2))
+                assert abs(moved - nrm) <= 1e-8 * nrm
 
 
 def test_kak_profile(sl2, sl3):
+    # ||Ad_g|| = exp(h_max - h_min) for the KAK middle factor diag(e^h):
+    # sigma_1 / sigma_n of g
     rng = np.random.default_rng(4)
     k = random_special_orthogonal(2, rng)
-    h, root = kak_log_profile(GroupMatrix(sl2, k))
-    assert np.max(np.abs(h)) <= 1e-9
-    g = GroupMatrix(sl2, np.diag([2.0, 0.5]))
-    h, root = kak_log_profile(g)
-    assert h == pytest.approx([math.log(2), -math.log(2)], abs=1e-12)
-    assert root == pytest.approx(math.log(4), abs=1e-12)
-    # polygon characterization against the adjoint norm on random SL(3)
+    assert np.linalg.svd(k, compute_uv=False) == pytest.approx([1.0, 1.0], abs=1e-12)
+    assert adjoint_norm(GroupMatrix(sl2, np.diag([2.0, 0.5]))) == pytest.approx(4.0, abs=1e-12)
     for _ in range(200):
         p = rng.standard_normal((3, 3)) * 0.5
         p -= np.trace(p) / 3 * np.eye(3)
         g = GroupMatrix(sl3, expm(p))
-        nrm = adjoint_norm(g)
-        _, root = kak_log_profile(g)
-        assert math.exp(root) == pytest.approx(nrm, rel=1e-9)
+        h = np.log(np.linalg.svd(g.mat, compute_uv=False))
+        assert adjoint_norm(g) == pytest.approx(math.exp(h[0] - h[-1]), rel=1e-9)
 
 
 def test_nilpotency_and_orbit_dims(sl2, sl3):
@@ -168,8 +167,8 @@ def test_nilpotency_and_orbit_dims(sl2, sl3):
 
 def test_orbit_dim_conjugation_invariant(sl3):
     rng = np.random.default_rng(5)
-    for _ in range(25):
-        x = random_nilpotent(sl3, rng)
+    for coords in _rotated_nilpotent_coords(sl3, rng, 25):
+        x = sl3.vector(coords)
         d = nilpotent_orbit_dim(x)
         assert d % 2 == 0
         p = rng.standard_normal((3, 3)) * 0.4
@@ -191,66 +190,54 @@ def test_max_nilpotent_dims_and_runtime():
 
 def _sequential_orbit_dims(model, rng, samples):
     """The per-sample loop of the nilpotent sweep: one random nilpotent at a
-    time (scipy expm of one matrix), its nilpotency test and the rank of ad_x."""
+    time (a rotation from the QR factor of one Gaussian matrix), its
+    nilpotency test and the rank of ad_x."""
     n = model.n
-    dims = []
+    dims, coords = [], []
     for _ in range(samples):
         upper = np.triu(rng.standard_normal((n, n)), 1)
-        p = rng.standard_normal((n, n)) * 0.3
-        p = p - np.trace(p) / n * np.eye(n)
-        g = expm(p)
-        x = model.vector_from_matrix(g @ upper @ np.linalg.inv(g))
+        q = _one_rotation(rng.standard_normal((n, n)))
+        x = model.vector_from_matrix(q @ upper @ q.T)
+        coords.append(x.coords)
         mat = x.matrix()
         power = np.linalg.matrix_power(mat / np.linalg.norm(mat, "fro"), n)
         assert np.linalg.norm(power, "fro") <= 1e-9
         sigma = np.linalg.svd(ad_operator(x), compute_uv=False)
         dims.append(int(np.sum(sigma > 1e-8 * sigma[0])))
-    return dims
+    return dims, np.array(coords)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_batched_sweep_matches_sequential_oracle(n):
     model = build_model(f"sl:{n}")
     for seed in (0, 1, 7):
-        want = _sequential_orbit_dims(model, np.random.default_rng(seed), 300)
-        got = _nilpotent_orbit_dims(
-            model, _random_nilpotent_coords(model, np.random.default_rng(seed), 300)
-        )
-        assert got.tolist() == want
+        want, want_coords = _sequential_orbit_dims(model, np.random.default_rng(seed), 300)
+        coords = _rotated_nilpotent_coords(model, np.random.default_rng(seed), 300)
+        assert np.abs(coords - want_coords).max() <= 1e-12 * np.abs(want_coords).max()
+        assert _nilpotent_orbit_dims(model, coords).tolist() == want
 
 
-def _relative_errors(got, want):
-    return np.linalg.norm(got - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+def _one_rotation(normals):
+    """The Haar rotation of one Gaussian matrix, one matrix at a time: the QR
+    factor with diag(R) > 0, its first column negated if det = -1."""
+    q, r = np.linalg.qr(normals)
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_batched_expm_matches_scipy_and_exact_exponentials(n):
-    rng = np.random.default_rng(n)
-    # 1-norms from 0 to far above theta_13 = 5.37, where the squaring runs
-    norms = np.array([0.0, 1e-3, 0.5, 2.0, 5.0, 5.5, 9.0, 17.0, 40.0])
-    a = rng.standard_normal((len(norms), n, n))
-    a *= (norms / np.abs(a).sum(axis=1).max(axis=1))[:, None, None]
-    # scipy's own error on these stacks reaches 8e-13 against 40-digit
-    # mpmath exponentials, where the batched path stays below 1e-14
-    want = np.stack([expm(x) for x in a])
-    assert _relative_errors(liealg._expm(a), want).max() <= 2e-12
-    # exact references: e^c times a finite series for c I + N with N
-    # nilpotent, and Q e^D Q^T for symmetric Q D Q^T, 1-norms up to ~30
-    shift = np.array([-3.0, 0.5, 4.0])
-    nil = np.triu(rng.standard_normal((3, n, n)), 1) * np.array([3.0, 6.0, 12.0])[:, None, None]
-    exact = np.zeros((3, n, n))
-    term = np.broadcast_to(np.eye(n), exact.shape)
-    for k in range(n):
-        exact = exact + term
-        term = term @ nil / (k + 1)
-    exact *= np.exp(shift)[:, None, None]
-    got = liealg._expm(shift[:, None, None] * np.eye(n) + nil)
-    assert _relative_errors(got, exact).max() <= 1e-13
-    q, _ = np.linalg.qr(rng.standard_normal((3, n, n)))
-    d = rng.uniform(-1.0, 1.0, (3, n)) * np.array([2.0, 8.0, 20.0])[:, None]
-    qt = np.swapaxes(q, 1, 2)
-    got = liealg._expm(q @ (d[:, :, None] * qt))
-    assert _relative_errors(got, q @ (np.exp(d)[:, :, None] * qt)).max() <= 1e-13
+def test_special_orthogonal_stack_matches_one_at_a_time():
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 5):
+        normals = rng.standard_normal((50, n, n))
+        stacked = liealg._special_orthogonal(normals)
+        for q, a in zip(stacked, normals):
+            assert np.abs(q - _one_rotation(a)).max() <= 1e-14
+            assert np.linalg.det(q) == pytest.approx(1.0, abs=1e-12)
+        # one matrix is the old draw of random_special_orthogonal, bit for bit
+        got = random_special_orthogonal(n, np.random.default_rng(n))
+        assert np.array_equal(got, _one_rotation(np.random.default_rng(n).standard_normal((n, n))))
 
 
 def test_sweep_chunks_draw_one_stream(monkeypatch):
@@ -301,11 +288,13 @@ def test_exp_density_series_vs_eigen(sl2, sl3):
             assert gap <= 1e-8
 
 
-def test_exp_density_series_divergence_warns(sl2):
+def test_exp_density_series_refuses_large_ad(sl2):
     big = sl2.vector([3.0, 0, 0])  # ||ad|| = 6 > pi
-    with pytest.warns(RuntimeWarning):
-        val = exp_density(big, method="series")
-    assert val == pytest.approx(exp_density(big, method="eigen"), abs=1e-10)
+    with pytest.raises(ValueError, match="6.000 > pi"):
+        exp_density(big, method="series")
+    below = sl2.vector([1.5, 0, 0])  # ||ad|| = 3 < pi: the series still runs
+    assert exp_density(below, method="series") == pytest.approx(
+        exp_density(below, method="eigen"), abs=1e-8)
 
 
 def test_exp_density_conjugation_invariance(sl2, sl3):
@@ -435,21 +424,27 @@ def test_orbit_min_norm_needs_sl_model():
     h3 = build_model("heisenberg3")
     with pytest.raises(ValueError):
         orbit_min_norm(h3.vector([1.0, 2.0, 0.5]))
-    with pytest.raises(ValueError):
-        nilcone_tube_membership(h3.vector([0.1, 0.0, 0.0]), 0.5, 1.0)
 
 
 def test_tube_membership(sl2):
-    assert nilcone_tube_membership(sl2.vector([0, 0, 0]), 0.5, 0.5)
-    E = sl2.vector([0, 1, 0])
-    assert nilcone_tube_membership(E, 0.01, 2.0)
-    assert not nilcone_tube_membership(sl2.vector([1, 0, 0]), 1.0, 2.0)
+    # Neighborhood("tube") tests inf_g ||Ad_g x|| < eps by the sl(2) closed
+    # form sqrt(2 |det x|); the orbit_min_norm of each point is its oracle
+    def contains(tube, x):
+        return bool(tube.contains_sl2(np.asarray(x, dtype=float)[None])[0])
+
+    assert contains(Neighborhood("tube", (0.5, 0.5)), [0, 0, 0])
+    assert contains(Neighborhood("tube", (0.01, 2.0)), [0, 1, 0])
+    assert not contains(Neighborhood("tube", (1.0, 2.0)), [1, 0, 0])
+    assert not contains(Neighborhood("tube", (0.5, 1.0)), [0, 1, 0])  # ||E||_F = 1
+    tube = Neighborhood("tube", (0.2, 0.6))
     rng = np.random.default_rng(10)
-    for _ in range(40):
-        x = sl2.vector(rng.standard_normal(3) * 0.4)
-        forward = nilcone_tube_membership(x, 0.2, 0.6)
-        mirrored = nilcone_tube_membership(sl2.vector(-x.coords), 0.2, 0.6)
-        assert forward == mirrored
+    pts = rng.standard_normal((40, 3)) * 0.4
+    forward = tube.contains_sl2(pts)
+    assert np.array_equal(forward, tube.contains_sl2(-pts))
+    want = [orbit_min_norm(sl2.vector(x)) < 0.2 and np.linalg.norm(sl2.vector(x).matrix()) < 0.6
+            for x in pts]
+    assert forward.tolist() == want
+    assert 0 < forward.sum() < len(pts)
 
 
 def test_group_matrix_validation(sl2):

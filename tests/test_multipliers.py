@@ -238,7 +238,7 @@ def _sequential_estimate(m, ps, p, cfg, warm_starts=None):
                 improvement = new_value - value
                 fs, value, grads = proposal, new_value, new_grads
                 step = min(step * 1.2, 2.0)
-                if improvement < cfg.step_tolerance * max(value, 1e-30):
+                if improvement < multipliers._STEP_TOLERANCE * max(value, 1e-30):
                     break
             else:
                 step *= 0.5

@@ -323,3 +323,28 @@ def test_blocks_of_size_three_still_use_svd(svd_calls):
     assert max(g.spectral().dims) == 3
     lp_norm(AlgebraElement(g, _random_coeffs(g.order)), 3.0)
     assert len(svd_calls) >= 1
+
+
+@pytest.mark.parametrize("name", ["dihedral:3", "heisenberg:3", "cyclic:96"])
+def test_lp_norms_neither_overflow_nor_underflow(name):
+    # sigma^p of 1e150 overflows and of 1e-41 at p = 8 underflows; the norm
+    # is homogeneous, so scaling the element scales it exactly
+    g = GROUPS[name]()
+    f = _random_coeffs(g.order, seed=4)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for scale in (1e150, 1e-41, 2.0 ** 498, 2.0 ** -498):
+            for p in PS + (8.0,):
+                assert lp_norm(AlgebraElement(g, scale * g.delta_element(0).coeffs), p) == (
+                    pytest.approx(scale, rel=1e-12, abs=0))
+                assert lp_norm(AlgebraElement(g, scale * f), p) == pytest.approx(
+                    scale * lp_norm(AlgebraElement(g, f), p), rel=1e-12, abs=0)
+        rows = np.array([np.zeros(g.order), 1e150 * f, 1e-150 * f, f])
+        for p in (3.0, math.inf):
+            want = [0.0] + [s * lp_norm(AlgebraElement(g, f), p) for s in (1e150, 1e-150, 1.0)]
+            assert lp_norms(g, rows, p) == pytest.approx(want, rel=1e-12, abs=0)
+        mat = regular_matrix(AlgebraElement(g, f))
+        for p in (1.0, 3.0, 8.0, math.inf):
+            for scale in (1e150, 1e-41):
+                assert matrix_lp_norm(scale * mat, p) == pytest.approx(
+                    scale * matrix_lp_norm(mat, p), rel=1e-12, abs=0)
+        assert matrix_lp_norm(np.zeros((3, 3)), 3.0) == 0.0
