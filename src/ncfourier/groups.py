@@ -85,18 +85,17 @@ class FiniteGroup:
         self.mul.setflags(write=False)
         self.inv.setflags(write=False)
 
-    def validate(self, rng: np.random.Generator | None = None) -> None:
+    def validate(self) -> None:
         """Check the group axioms, raising ``GroupError`` on the first that fails.
 
         In order: the table shapes; ``identity`` lies in 0..N-1; the identity
         law; every ``inv`` entry lies in 0..N-1; the inverse law; every row
         and every column is a permutation of 0..N-1; associativity, on all
         N^3 triples up to order 64 and above it on 20,000 triples drawn from
-        ``rng`` (``default_rng(0)`` if None).  The permutation check sorts
-        slabs of rows, and of columns copied out tile by tile, so it costs two
-        row-wise sorts of the table and a few slabs of 128 rows of extra
-        memory; every other check is O(N), or O(N^3) = 2^18 entries at
-        order 64.
+        ``default_rng(0)``.  The permutation check sorts slabs of rows, and of
+        columns copied out tile by tile, so it costs two row-wise sorts of the
+        table and a few slabs of 128 rows of extra memory; every other check
+        is O(N), or O(N^3) = 2^18 entries at order 64.
         """
         n = self.order
         mul, inv = self.mul, self.inv
@@ -120,8 +119,7 @@ class FiniteGroup:
             if not np.array_equal(mul[mul], mul[:, mul]):
                 raise GroupError("associativity fails")
         else:
-            rng = rng or np.random.default_rng(0)
-            xs, ys, zs = rng.integers(0, n, size=(3, 20000))
+            xs, ys, zs = np.random.default_rng(0).integers(0, n, size=(3, 20000))
             if not np.array_equal(mul[mul[xs, ys], zs], mul[xs, mul[ys, zs]]):
                 raise GroupError("associativity fails on sampled triples")
 
@@ -176,16 +174,25 @@ class FiniteGroup:
         dist[dist < 0] = self.order  # disconnected only if generators were dropped
         return dist
 
+    def json_chunks(self):
+        """The group as indented JSON with sorted keys (``json.dumps(...,
+        indent=2, sort_keys=True)`` plus a newline), one table row at a time:
+        an order-4096 table never becomes nested lists or one string, and the
+        indenting runs in C (``str.join``), not in json's pure-Python indent
+        encoder."""
+        def block(values, pad):  # a JSON list of ints, one per line at indent pad
+            inner = (",\n" + " " * pad).join(map(str, values.tolist()))
+            return "[\n" + " " * pad + inner + "\n" + " " * (pad - 2) + "]"
+
+        yield (f'{{\n  "identity": {self.identity},\n  "inv": {block(self.inv, 4)},\n'
+               f'  "label": {json.dumps(self.label)},\n  "mul": [\n')
+        last = self.order - 1
+        for i, row in enumerate(self.mul):
+            yield f"    {block(row, 6)}{',' if i < last else ''}\n"
+        yield f'  ],\n  "order": {self.order}\n}}\n'
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "order": self.order,
-                "mul": self.mul.tolist(),
-                "inv": self.inv.tolist(),
-                "identity": self.identity,
-                "label": self.label,
-            }
-        )
+        return "".join(self.json_chunks())
 
     @staticmethod
     def from_json(text: str) -> "FiniteGroup":
@@ -246,22 +253,9 @@ class AlgebraElement:
         if self.coeffs.shape != (self.parent.order,):
             raise GroupError("coefficient vector length must equal the group order")
 
-    def copy(self) -> "AlgebraElement":
-        return AlgebraElement(self.parent, self.coeffs.copy())
-
-    def support(self) -> list[int]:
-        return [int(s) for s in np.nonzero(self.coeffs)[0]]
-
-    def __add__(self, other):
-        _same_parent(self, other)
-        return AlgebraElement(self.parent, self.coeffs + other.coeffs)
-
     def __sub__(self, other):
         _same_parent(self, other)
         return AlgebraElement(self.parent, self.coeffs - other.coeffs)
-
-    def __rmul__(self, scalar):
-        return AlgebraElement(self.parent, complex(scalar) * self.coeffs)
 
 
 def same_group(a: FiniteGroup, b: FiniteGroup) -> bool:
@@ -362,14 +356,9 @@ def complex_normal(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def random_element(
-    group: FiniteGroup, rng: np.random.Generator, support: list[int] | None = None
-) -> AlgebraElement:
-    """Standard complex Gaussian coefficients, optionally restricted to a support."""
-    coeffs = np.zeros(group.order, dtype=complex)
-    idx = np.arange(group.order) if support is None else np.asarray(support)
-    coeffs[idx] = complex_normal(rng, len(idx))
-    return AlgebraElement(group, coeffs)
+def random_element(group: FiniteGroup, rng: np.random.Generator) -> AlgebraElement:
+    """Standard complex Gaussian coefficients."""
+    return AlgebraElement(group, complex_normal(rng, group.order))
 
 
 # ---------------------------------------------------------------------------

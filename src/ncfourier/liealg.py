@@ -199,14 +199,14 @@ def random_special_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     return _special_orthogonal(rng.standard_normal((n, n)))
 
 
-def is_nilpotent_matrix(mat: np.ndarray, tol: float = 1e-9) -> bool | np.ndarray:
-    """X^n = 0 to tolerance after scaling X to unit Frobenius norm.  A
+def is_nilpotent_matrix(mat: np.ndarray) -> bool | np.ndarray:
+    """||X^n||_F <= 1e-9 after scaling X to unit Frobenius norm.  A
     (..., n, n) stack gives one flag per matrix."""
     mat = np.asarray(mat, dtype=float)
     nrm = np.linalg.norm(mat, axis=(-2, -1), keepdims=True)
     scaled = mat / np.where(nrm == 0.0, 1.0, nrm)
     power = np.linalg.matrix_power(scaled, mat.shape[-1])
-    flags = np.linalg.norm(power, axis=(-2, -1)) <= tol
+    flags = np.linalg.norm(power, axis=(-2, -1)) <= 1e-9
     return bool(flags) if flags.ndim == 0 else flags
 
 

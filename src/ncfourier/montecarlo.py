@@ -35,8 +35,8 @@ __all__ = [
     "delta_mc_finite",
     "sample_adjoint_ball_sl2",
     "delta_lower_bound_check",
+    "delta_bound_verdict",
     "sl2z_count",
-    "SL2Z_LOG_POWER",
     "growth_fit",
 ]
 
@@ -424,8 +424,11 @@ def delta_lower_bound_check(
     exp(V_{eps,R}) for each eps in the schedule, and checks the smallest-eps
     estimate against rho^{-1} - 3 stderr (d/2 = 1 on sl:2).  This checks the
     specific tube basis the bound is proved with; agreement is consistency,
-    not proof, while a violation would falsify the bound.
+    not proof, while a violation would falsify the bound.  The verdict is
+    ``delta_bound_verdict``'s.
     """
+    if not eps_schedule:
+        raise ValueError("the eps schedule is empty")
     model = build_model("sl:2")
     F = sample_adjoint_ball_sl2(model, rho, f_size, rng)
     rows = []
@@ -436,38 +439,28 @@ def delta_lower_bound_check(
         )
         rows.append({"eps": eps, "estimate": est.mean, "stderr": est.stderr,
                      "samples": est.samples, "hits": est.hits})
-    final = rows[-1]
-    bound = rho ** (-1.0)
+    bound, passed = delta_bound_verdict(est, rho)
     return {
         "rho": rho,
         "R": R,
         "bound": bound,
         "rows": rows,
-        "final_estimate": final["estimate"],
-        "final_stderr": final["stderr"],
-        "pass": final["estimate"] >= bound - 3.0 * final["stderr"],
+        "final_estimate": est.mean,
+        "final_stderr": est.stderr,
+        "pass": passed,
     }
+
+
+def delta_bound_verdict(est: McEstimate, rho: float) -> tuple[float, bool]:
+    """The adjoint-ball lower bound rho^{-d/2} (d/2 = 1 on sl:2) on the
+    survival fraction of a tube, and whether the estimate is consistent with
+    it: mean >= rho^{-1} - 3 stderr."""
+    bound = rho ** (-1.0)
+    return bound, est.mean >= bound - 3.0 * est.stderr
 
 
 # ---------------------------------------------------------------------------
 # exact lattice-point counting in SL(2,Z)
-
-SL2Z_LOG_POWER = 0
-"""Power of log(rho) in the growth law of sl2z_count(rho); pass it to
-growth_fit.
-
-The lattice-point theorem gives #(Gamma & B_rho) ~ vol(B_rho) / vol(G/Gamma)
-(Duke-Rudnick-Sarnak, Duke Math. J. 71, 1993; Eskin-McMullen, same volume),
-so the log power is the one in the Haar volume of the adjoint ball.  On
-SL(2,R) write g = k1 diag(e^t, e^-t) k2 with t >= 0: the Haar measure is
-sinh(2t) dt dk1 dk2 and ||Ad_g|| = e^(2t), hence
-
-    vol(B_rho) ~ int_0^{(ln rho)/2} sinh(2t) dt = (rho + 1/rho - 2) / 4,
-
-linear in rho = rho^(d/2) (d = 2) with no log factor.  This matches the
-classical count #{gamma : ||gamma||_F^2 <= T} ~ 6 T at T = rho + 1/rho.
-"""
-
 
 def sl2z_count(rho: float) -> int:
     """Exact number of integer matrices with determinant 1 and adjoint norm
@@ -538,25 +531,29 @@ def _ext_gcd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return old_r, old_u, old_v
 
 
-def growth_fit(series: CountSeries, log_power: int = 1) -> CountSeries:
-    """Least-squares exponent of count ~ rho^e (log rho)^log_power: slope of
-    log(count / (log rho)^log_power) against log rho, residual reported.
+def growth_fit(series: CountSeries) -> CountSeries:
+    """Least-squares exponent of count ~ rho^e: slope of log(count) against
+    log rho, residual reported.
 
-    At log power 0 no log(log rho) term enters, so any radius > 0 fits; any
-    other log power needs every radius > 1, where log log rho is finite."""
+    The law has no log(rho) factor.  The lattice-point theorem gives
+    #(Gamma & B_rho) ~ vol(B_rho) / vol(G/Gamma) (Duke-Rudnick-Sarnak, Duke
+    Math. J. 71, 1993; Eskin-McMullen, same volume), so the law is that of
+    the Haar volume of the adjoint ball.  On SL(2,R) write
+    g = k1 diag(e^t, e^-t) k2 with t >= 0: the Haar measure is
+    sinh(2t) dt dk1 dk2 and ||Ad_g|| = e^(2t), hence
+
+        vol(B_rho) ~ int_0^{(ln rho)/2} sinh(2t) dt = (rho + 1/rho - 2) / 4,
+
+    linear in rho = rho^(d/2) (d = 2).  This matches the classical count
+    #{gamma : ||gamma||_F^2 <= T} ~ 6 T at T = rho + 1/rho.
+    """
     if len(series.radii) < 5:
         raise ValueError("need at least five radii spanning the fit range")
-    radii = np.asarray(series.radii, dtype=float)
     counts = np.asarray(series.counts, dtype=float)
     if np.any(counts <= 0):
         raise ValueError("counts must be positive for the log fit")
-    if log_power and np.any(radii <= 1.0):
-        raise ValueError(f"log power {log_power} needs every radius > 1")
-    x = np.log(radii)
-    y = np.log(counts)
-    if log_power:
-        y -= log_power * np.log(x)
-    coeffs, residuals, *_ = np.polyfit(x, y, 1, full=True)
+    x = np.log(np.asarray(series.radii, dtype=float))
+    coeffs, residuals, *_ = np.polyfit(x, np.log(counts), 1, full=True)
     series.fitted_exponent = float(coeffs[0])
     rss = float(residuals[0]) if len(residuals) else 0.0
     series.fit_residual = math.sqrt(rss / len(x))

@@ -77,9 +77,6 @@ class Symbol:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("symbol values must be finite")
 
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
 
 def _product_index_grid(group: FiniteGroup, arity: int) -> np.ndarray:
     """Array P of shape (N,)*arity with P[s_1,...,s_n] = s_1 s_2 ... s_n."""
@@ -384,12 +381,19 @@ def estimate_norm(
 # reduction identities
 
 
+def pull_back(m: Symbol, group: FiniteGroup, maps) -> Symbol:
+    """The symbol (s_1, ..., s_n) -> m(q_1(s_1), ..., q_n(s_n)) on ``group``,
+    for index arrays q_i from ``group`` into m's group, one per slot.
+    Restriction (q_i the subgroup embedding) and periodization (q_i the
+    quotient map) are both this pull-back."""
+    return Symbol(group, m.arity, m.values[np.ix_(*maps)])
+
+
 def restrict_symbol(m: Symbol, emb: SubgroupEmbedding) -> Symbol:
     """Restrict a symbol on G^n to H^n along a subgroup embedding."""
     if not same_group(emb.amb, m.parent):
         raise GroupError("embedding target does not match the symbol's group")
-    ix = np.ix_(*([emb.map] * m.arity)) if m.arity > 1 else (emb.map,)
-    return Symbol(emb.sub, m.arity, m.values[ix])
+    return pull_back(m, emb.sub, [emb.map] * m.arity)
 
 
 def _worst_deviation(m_tilde: Symbol, rhs, trials: int, rng: np.random.Generator) -> float:
@@ -430,11 +434,10 @@ def consummate_symbol(m: Symbol, indices, n: int) -> Symbol:
 
 
 def consummation_residual(
-    m: Symbol, indices, ps, trials: int, rng: np.random.Generator
+    m: Symbol, indices, n: int, trials: int, rng: np.random.Generator
 ) -> float:
-    """Max L_2 deviation of T_{m~}(x_1..x_n) from T_m applied to grouped products."""
-    ps = tuple(ps)
-    n = len(ps)
+    """Max L_2 deviation of T_{m~}(x_1..x_n) from T_m applied to grouped
+    products, for the arity-n symbol m~ of ``consummate_symbol``."""
     m_tilde = consummate_symbol(m, indices, n)
     bounds = [int(i) for i in indices] + [n + 1]
 
@@ -461,7 +464,7 @@ def translate_symbol(m: Symbol, i: int, r: int, t: int, rp: int) -> Symbol:
         maps[i - 1] = group.mul[maps[i - 1], t]
         maps[i] = group.mul[int(group.inv[t]), maps[i]]
     maps[n - 1] = group.mul[maps[n - 1], rp]
-    return Symbol(group, n, m.values[np.ix_(*maps)] if n > 1 else m.values[maps[0]])
+    return pull_back(m, group, maps)
 
 
 def translated_apply(

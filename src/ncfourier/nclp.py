@@ -62,6 +62,16 @@ def exponent_tuple(ps) -> tuple[float, ...]:
     return tuple(check_exponent(q) for q in (ps if isinstance(ps, (tuple, list)) else [ps]))
 
 
+def output_exponent(ps: tuple[float, ...], arity: int) -> float:
+    """p with 1/p = sum_i 1/p_i (inf when every p_i is), the output exponent
+    of a multilinear map with one exponent p_i per slot; a tuple of another
+    length is a ValueError naming both counts."""
+    if len(ps) != arity:
+        raise ValueError(f"{len(ps)} exponents for a symbol of arity {arity}")
+    total = sum(1.0 / q for q in ps)
+    return 1.0 / total if total else math.inf
+
+
 def plancherel_trace(f: AlgebraElement) -> complex:
     """tau(lambda(f)) = f(identity)."""
     return complex(f.coeffs[f.parent.identity])
@@ -99,7 +109,7 @@ def lp_norms(group: FiniteGroup, coeffs: np.ndarray, p: float) -> np.ndarray:
     representable."""
     p = check_exponent(p)
     spec = group.spectral()
-    sigmas = [_singular_values(b) for b in spec.forward(coeffs)]
+    sigmas = [_factor(b)[0] for b in spec.forward(coeffs)]
     top = functools.reduce(np.maximum, [s.max(axis=(-2, -1), initial=0.0) for s in sigmas])
     if math.isinf(p):
         return top
@@ -129,30 +139,26 @@ def lp_norm_gradient(
     spec = group.spectral()
     total, grads = 0.0, []
     for d, b in zip(spec.dims, spec.forward(coeffs)):
-        sigma, grad = _block_gradient(b, p)
+        sigma, grad = _factor(b, p)
         grads.append(grad)
         total = total + d * (sigma ** p).sum(axis=(-2, -1))
     return (total / spec.order) ** (1.0 / p), spec.adjoint(grads)
 
 
-def _singular_values(blocks: np.ndarray) -> np.ndarray:
-    """Singular values of a (..., k, d, d) block stack, shape (..., k, d)."""
-    if blocks.shape[-1] == 1:
-        return np.abs(blocks[..., 0])
-    if blocks.shape[-1] == 2:
-        return _svd2(blocks)[0]
-    return np.linalg.svd(blocks, compute_uv=False)
-
-
-def _block_gradient(blocks: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values of a (..., k, d, d) block stack and U sigma^(p-1) V^H
-    of each block, for 1 < p < inf."""
+def _factor(blocks: np.ndarray, p: float | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """Singular values (..., k, d) of a (..., k, d, d) block stack and, given
+    1 < p < inf, U sigma^(p-1) V^H of each block (else None), as ``_svd2``
+    returns them; only blocks of size >= 3 go to ``numpy.linalg.svd``."""
     d = blocks.shape[-1]
-    if d == 1:
-        mag = np.abs(blocks)
-        return mag[..., 0], blocks * np.power(mag, p - 2.0, out=np.zeros(mag.shape), where=mag > 0)
     if d == 2:
         return _svd2(blocks, p)
+    if d == 1:
+        mag = np.abs(blocks)
+        grad = None if p is None else blocks * np.power(
+            mag, p - 2.0, out=np.zeros(mag.shape), where=mag > 0)
+        return mag[..., 0], grad
+    if p is None:
+        return np.linalg.svd(blocks, compute_uv=False), None
     u, sigma, vh = np.linalg.svd(blocks)
     return sigma, (u * sigma[..., None, :] ** (p - 1.0)) @ vh
 

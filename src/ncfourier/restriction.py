@@ -35,9 +35,17 @@ from .multipliers import (
     apply_multiplier,
     estimate_norm,
     evaluate_ratio,
+    pull_back,
     restrict_symbol,
 )
-from .nclp import exponent_tuple, lp_norm, matrix_lp_norm, plancherel_trace, polar_parts
+from .nclp import (
+    exponent_tuple,
+    lp_norm,
+    matrix_lp_norm,
+    output_exponent,
+    plancherel_trace,
+    polar_parts,
+)
 
 __all__ = [
     "DeltaValue",
@@ -148,6 +156,31 @@ def _require_disjoint(products: np.ndarray, labels: np.ndarray, what: str) -> No
         )
 
 
+def _embedded_norm(
+    emb: SubgroupEmbedding, x: AlgebraElement, V: GroupSubset, p: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """||x h_V^{2/p}||_p in the ambient group (||x||_p at p = infinity, where
+    the map is x -> x), after the checks both embedding inequalities share: x
+    lives on the subgroup, V in the ambient group, V is symmetric, and the
+    translates sV over the ambient support of x are pairwise disjoint
+    (condition (1)).  Also returns that support as a column and the products
+    s v (rows s, columns the sorted members v of V)."""
+    if not same_group(x.parent, emb.sub):
+        raise GroupError("x must live on the subgroup")
+    if not same_group(V.parent, emb.amb):
+        raise GroupError("V must live in the ambient group")
+    if not V.is_symmetric():
+        raise PreconditionError("V is not symmetric")
+    x_amb = emb.push(x)
+    supp = np.flatnonzero(x_amb.coeffs)[:, None]
+    sv = emb.amb.mul[supp, V.sorted()]
+    _require_disjoint(sv, supp, "disjointness condition (1) sV, s in supp(x) fails")
+    amb_mat = regular_matrix(x_amb)
+    if not math.isinf(p):
+        amb_mat = amb_mat @ polar_parts(V).h_power(2.0 / p)
+    return matrix_lp_norm(amb_mat, p, trace_dim=emb.amb.order), supp, sv
+
+
 def embedding_contraction_residual(
     emb: SubgroupEmbedding, x: AlgebraElement, V: GroupSubset, p: float
 ) -> ResidualReport:
@@ -162,21 +195,7 @@ def embedding_contraction_residual(
     slightly and the report then carries a positive residual (see the
     dihedral boundary example in the tests).
     """
-    if not same_group(x.parent, emb.sub):
-        raise GroupError("x must live on the subgroup")
-    if not same_group(V.parent, emb.amb):
-        raise GroupError("V must live in the ambient group")
-    if not V.is_symmetric():
-        raise PreconditionError("V is not symmetric")
-    x_amb = emb.push(x)
-    supp = np.flatnonzero(x_amb.coeffs)
-    _require_disjoint(emb.amb.mul[supp[:, None], V.sorted()], supp[:, None],
-                      "disjointness condition (1) sV, s in supp(x) fails")
-    if math.isinf(p):
-        amb_mat = regular_matrix(x_amb)  # the p = infinity map is x -> x
-    else:
-        amb_mat = regular_matrix(x_amb) @ polar_parts(V).h_power(2.0 / p)
-    lhs = matrix_lp_norm(amb_mat, p, trace_dim=emb.amb.order)
+    lhs, _, _ = _embedded_norm(emb, x, V, p)
     rhs = lp_norm(x, p)
     residual = max(0.0, lhs - rhs)
     report = ResidualReport(
@@ -222,31 +241,20 @@ def embedding_lower_residual(
     """
     if not (2.0 < p < math.inf):
         raise ValueError("lower bound applies for 2 < p < infinity")
-    if not same_group(x.parent, emb.sub) or not same_group(y.parent, emb.sub):
-        raise GroupError("x and y must live on the subgroup")
-    if not V.is_symmetric():
-        raise PreconditionError("V is not symmetric")
+    if not same_group(y.parent, emb.sub):
+        raise GroupError("y must live on the subgroup")
+    lhs, supp_x, sv = _embedded_norm(emb, x, V, p)
     group = emb.amb
     q = 1.0 / (0.5 - 1.0 / p)
-    x_amb = emb.push(x)
-    supp_x = np.flatnonzero(x_amb.coeffs)[:, None]
     supp_y = np.flatnonzero(emb.push(y).coeffs)
     supp_y_star = group.inv[supp_y][:, None]
-    members = V.sorted()
     mul = group.mul
-    sv = mul[supp_x, members]
-    _require_disjoint(sv, supp_x, "disjointness condition (1) sV, s in F fails")
-    _require_disjoint(mul[supp_y_star, members], supp_y_star,
+    _require_disjoint(mul[supp_y_star, V.sorted()], supp_y_star,
                       "disjointness condition (2) sV, s in F_y fails")
     # (3) s V t disjoint across pairs with distinct products st; axes (s, t, v)
     _require_disjoint(mul[sv[:, None, :], supp_y[:, None]], mul[supp_x, supp_y][..., None],
                       "disjointness condition (3) s1 V t1 cap s2 V t2 fails")
-    F = group.subset(supp_x.ravel().tolist())
-    dval = float(delta_exact(F, V))
-    pp = polar_parts(V)
-    lhs = matrix_lp_norm(
-        regular_matrix(x_amb) @ pp.h_power(2.0 / p), p, trace_dim=group.order
-    )
+    dval = float(delta_exact(group.subset(supp_x.ravel().tolist()), V))
     norm_y = lp_norm(y, q)
     if norm_y == 0:
         raise ValueError("witness y is zero")
@@ -326,12 +334,6 @@ def quotient_group(group: FiniteGroup, H: GroupSubset):
     return quotient, coset_of, reps_arr
 
 
-def periodize_symbol(m_q: Symbol, coset_of: np.ndarray, group: FiniteGroup) -> Symbol:
-    """Lift a symbol on G/H to the H-invariant symbol g -> m_q(gH) on G."""
-    ix = np.ix_(*([coset_of] * m_q.arity)) if m_q.arity > 1 else (coset_of,)
-    return Symbol(group, m_q.arity, m_q.values[ix])
-
-
 def periodization_residual(
     group: FiniteGroup,
     H: GroupSubset,
@@ -357,10 +359,8 @@ def periodization_residual(
         raise GroupError("symbol does not live on G/H")
     quotient = m_q.parent  # the caller's table, whose spectral layer is cached
     n = m_q.arity
-    if len(ps) != n:
-        raise ValueError("exponent tuple must match arity")
-    p = 1.0 / sum(1.0 / q for q in ps)
-    m_pi = periodize_symbol(m_q, coset_of, group)
+    p = output_exponent(ps, n)
+    m_pi = pull_back(m_q, group, [coset_of] * n)  # the H-invariant g -> m_q(gH)
     hsize = len(H)
 
     def lift(x: AlgebraElement, exponent: float) -> AlgebraElement:
@@ -425,9 +425,7 @@ def lattice_maps_report(
     ps = exponent_tuple(ps)
     group, sub = emb.amb, emb.sub
     n = m.arity
-    if len(ps) != n:
-        raise ValueError("exponent tuple must match arity")
-    p = 1.0 / sum(1.0 / q for q in ps)
+    p = output_exponent(ps, n)
     # X is a fundamental domain when the translates gamma X over the subgroup tile G
     what = "X is not a fundamental domain"
     _require_disjoint(group.mul[emb.map[:, None], X.sorted()], emb.map[:, None], what)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .groups import AlgebraElement, FiniteGroup, regular_matrix
 from .multipliers import Symbol, apply_multiplier
-from .nclp import check_exponent, conjugate_exponent
+from .nclp import check_exponent, conjugate_exponent, output_exponent
 
 __all__ = [
     "TransferenceResult",
@@ -92,9 +92,9 @@ def hertz_schur_transference_residual(
     if alpha > L // 4:
         raise ValueError(f"Folner radius {alpha} too large for L = {L}")
     p1, p2 = check_exponent(p1), check_exponent(p2)
-    if 1.0 / p1 + 1.0 / p2 > 1.0 + 1e-12:
+    p = output_exponent((p1, p2), m.arity)
+    if 1.0 / p > 1.0 + 1e-12:
         raise ValueError("need p1, p2 >= 1 with 1/p1 + 1/p2 <= 1")
-    p = 1.0 / (1.0 / p1 + 1.0 / p2)
     pprime = conjugate_exponent(p)
 
     s_mat = schur_bilinear(m, compress(x, alpha, p1), compress(y, alpha, p2))

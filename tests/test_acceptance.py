@@ -13,8 +13,10 @@ from scipy.linalg import expm
 
 from ncfourier.cli import main as cli_main
 from ncfourier.groups import (
+    AlgebraElement,
     build_embedding,
     build_group,
+    complex_normal,
     random_element,
 )
 from ncfourier.liealg import (
@@ -26,7 +28,6 @@ from ncfourier.liealg import (
     max_nilpotent_dim,
 )
 from ncfourier.montecarlo import (
-    SL2Z_LOG_POWER,
     CountSeries,
     McConfig,
     delta_lower_bound_check,
@@ -186,7 +187,7 @@ def test_criterion_06_reduction_identities():
         m = symbol_from_spec(g, f"random:{i}", arity=k)
         worst["consummation"] = max(
             worst["consummation"],
-            consummation_residual(m, idx, tuple([2.0] * n), 2, rng),
+            consummation_residual(m, idx, n, 2, rng),
         )
         mt = symbol_from_spec(g, f"random:{200 + i}", arity=n)
         r, t, rp = (int(v) for v in rng.integers(0, g.order, size=3))
@@ -256,7 +257,9 @@ def test_criterion_08_embedding_inequalities():
     ).residual
     # lower bound (c): dihedral analog with nontrivial delta = 1/2
     emb12 = build_embedding("rotations-in-dihedral:12")
-    x12 = random_element(emb12.sub, rng, support=[0, 1])
+    c12 = np.zeros(emb12.sub.order, dtype=complex)
+    c12[:2] = complex_normal(rng, 2)  # x supported on {e, r}
+    x12 = AlgebraElement(emb12.sub, c12)
     rep_c = embedding_lower_residual(
         emb12, x12, emb12.amb.subset([0, 12]), 4.0, emb12.sub.delta_element(0)
     )
@@ -358,17 +361,17 @@ def test_criterion_12_lattice_point_counting():
     radii = [100.0, 250.0, 500.0, 1000.0, 2500.0]
     counts = [sl2z_count(r) for r in radii]
     # The Haar volume of the SL(2,R) adjoint ball has no log factor (see
-    # SL2Z_LOG_POWER), so the exponent e of count ~ rho^e must be near d/2 = 1.
-    series = growth_fit(CountSeries(radii, counts), log_power=SL2Z_LOG_POWER)
+    # growth_fit), so the exponent e of count ~ rho^e must be near d/2 = 1.
+    series = growth_fit(CountSeries(radii, counts))
     elapsed = time.time() - t0
     ok = near_one == 4 and 0.85 <= series.fitted_exponent <= 1.15 and elapsed < 300.0
     report(12, "lattice point growth", ok,
            f"count(1+) = {near_one}, exponent {series.fitted_exponent:.4f} "
-           f"(log power {SL2Z_LOG_POWER}, band [0.85, 1.15]), {elapsed:.1f}s")
+           f"(no log factor, band [0.85, 1.15]), {elapsed:.1f}s")
     assert near_one == 4
     assert elapsed < 300.0
     assert 0.85 <= series.fitted_exponent <= 1.15, (
-        f"growth exponent {series.fitted_exponent:.4f} (log power {SL2Z_LOG_POWER}) "
+        f"growth exponent {series.fitted_exponent:.4f} (no log factor) "
         f"outside [0.85, 1.15]; exact counts {counts} at radii {radii} "
         f"(count/rho ~ {counts[-1] / radii[-1]:.2f})"
     )

@@ -5,7 +5,8 @@ import warnings
 import pytest
 
 from ncfourier import cli
-from ncfourier.cli import _default_batch, main
+from ncfourier.cli import main
+from ncfourier.montecarlo import McEstimate
 
 
 def run(argv):
@@ -25,13 +26,15 @@ def test_group_dump_roundtrip(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("spec", [
-    "cyclic:1", "dihedral:3", "product:cyclic:2,product:dihedral:3,heisenberg:2"])
+    "cyclic:1", "cyclic:8", "dihedral:3", "heisenberg:2",
+    "product:cyclic:2,product:dihedral:3,heisenberg:2"])
 def test_group_dump_is_the_indented_json_text(tmp_path, capsys, spec):
-    # the table is written a row at a time; the text is json.dumps' to the byte
+    # the CLI streams the text to_json joins: json.dumps' indented text to the byte
     from ncfourier.groups import build_group
 
     g = build_group(spec)
-    want = json.dumps(json.loads(g.to_json()), indent=2, sort_keys=True) + "\n"
+    want = g.to_json()
+    assert want == json.dumps(json.loads(want), indent=2, sort_keys=True) + "\n"
     out = tmp_path / "group.json"
     assert run(["group", "--group", spec, "--out", str(out)]) == 0
     assert out.read_bytes() == want.encode()
@@ -116,21 +119,20 @@ def test_key_lemma_command_small(tmp_path):
     assert samples == [400000, 400000, 800000]
 
 
-def test_key_lemma_default_batch_divides_samples(tmp_path):
-    # 1.5 * 10^7 samples exceed the 10^7 cap on the default batch; the default
-    # is then 7.5 * 10^6, the largest divisor of the count under the cap
+def test_key_lemma_default_batch_divides_samples(tmp_path, monkeypatch):
+    # --batch 0 (the default) means one batch of every sample, at any count
+    seen = []
+
+    def ratio(eps, R, rho, cfg):
+        seen.append((cfg.samples, cfg.batch))
+        return McEstimate(rho, 0.01, 2 * cfg.samples, cfg.seed, 1), rho
+
+    monkeypatch.setattr(cli.mc, "key_lemma_ratio", ratio)
     out = tmp_path / "ratio.csv"
     assert run(["key-lemma", "--rho", "2", "--R", "0.5", "--eps", "0.1",
                 "--samples", "15000000", "--out", str(out)]) == 0
+    assert seen == [(15_000_000, 15_000_000)]
     assert out.read_text().strip().split("\n")[1].startswith("0.1,0.5,2.0,")
-
-
-@pytest.mark.parametrize("samples, batch", [
-    (1, 1), (10 ** 7, 10 ** 7), (2 * 10 ** 7, 10 ** 7), (15_000_000, 7_500_000),
-    (10 ** 7 + 19, 1),  # a prime above the cap
-])
-def test_default_batch(samples, batch):
-    assert _default_batch(samples) == batch
 
 
 def test_orbit_dim_and_density_and_count(tmp_path):
@@ -154,7 +156,8 @@ def test_lattice_count_fit(tmp_path):
 
 
 def test_lattice_count_fit_through_radius_one(tmp_path):
-    # at log power 0 no log(log rho) enters, so rho = 1 fits like any radius
+    # the law has no log factor, so no log(log rho) enters and rho = 1 fits
+    # like any radius
     out = tmp_path / "counts.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -165,9 +168,36 @@ def test_lattice_count_fit_through_radius_one(tmp_path):
     assert math.isfinite(float(value))
 
 
+DELTA_MC_LIE = ["delta-mc", "--model", "sl:2", "--rho", "2", "--F-count", "3",
+                "--samples", "10000", "--seed", "11"]
+
+
+@pytest.mark.parametrize("mean, code, verdict", [(0.46, 0, "[pass]"), (0.43, 1, "[FAIL]")])
+def test_delta_mc_tube_verdict_is_the_rho_bound(monkeypatch, capsys, mean, code, verdict):
+    # delta >= 1/rho - 3 stderr: 0.46 clears 0.5 - 3 * 0.02, 0.43 does not
+    est = McEstimate(mean, 0.02, 10000, 11, 5000)
+    monkeypatch.setattr(cli.mc, "delta_mc", lambda *args: est)
+    assert run(DELTA_MC_LIE + ["--W", "tube:0.05,0.5"]) == code
+    out = capsys.readouterr().out
+    assert out.endswith(f"{verdict} conjugation-survival estimate: {mean:.6f} +- 0.020000 "
+                        "vs lower bound 1/rho = 0.500000 (3 stderr)\n")
+    assert cli.mc.delta_bound_verdict(est, 2.0) == (0.5, code == 0)
+
+
+def test_delta_mc_ball_reports_without_verdict(monkeypatch, capsys):
+    monkeypatch.setattr(cli.mc, "delta_mc", lambda *args: McEstimate(0.01, 0.001, 10000, 11, 50))
+    assert run(DELTA_MC_LIE + ["--W", "ball:0.5"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("conjugation-survival estimate: 0.010000 +- 0.001000 ")
+    assert "no verdict" in last
+
+
 def test_transference_command():
     assert run(["transference", "--L", "256", "--alpha", "8,16,32",
                 "--support", "4", "--seed", "7"]) == 0
+    # 1/p1 + 1/p2 = 0: the output exponent is infinite, not a division by zero
+    assert run(["transference", "--L", "256", "--alpha", "8,16,32", "--p1", "inf",
+                "--p2", "inf"]) == 0
 
 
 def test_usage_errors():

@@ -1,8 +1,14 @@
 """The export lists that the per-layer benchmark metrics rely on: the layer
 tracer wraps only functions named in a module's ``__all__`` and skips names
-it cannot find, so a stale or dropped name would empty a metric silently."""
+it cannot find, so a stale or dropped name would empty a metric silently.
+And the declared runtime dependencies, which must be exactly the third-party
+packages the sources import."""
 
+import ast
 import inspect
+import pathlib
+import re
+import sys
 
 import pytest
 
@@ -30,3 +36,30 @@ def test_package_reexports_only_exported_functions():
         if name not in getattr(ncfourier, layer).__all__:
             stray.append(f"{layer}.{name}")
     assert not stray, f"re-exported but not in their module's __all__: {stray}"
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _third_party_imports(src: pathlib.Path) -> set[str]:
+    """Top-level names of the absolute imports under ``src`` that are neither
+    standard library nor the package itself."""
+    names = set()
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"ncfourier"}
+
+
+def test_runtime_dependencies_are_the_imported_packages():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
+             for dep in declared}
+    imported = _third_party_imports(ROOT / "src" / "ncfourier")
+    assert imported == names, (
+        f"undeclared: {sorted(imported - names)}, declared but unused: {sorted(names - imported)}")

@@ -8,7 +8,6 @@ from ncfourier import montecarlo
 from ncfourier.groups import build_group
 from ncfourier.liealg import GroupMatrix, adjoint_norm, build_model
 from ncfourier.montecarlo import (
-    SL2Z_LOG_POWER,
     CountSeries,
     LogFailureError,
     McConfig,
@@ -172,6 +171,8 @@ def test_delta_lower_bound_check_single_seed():
     assert rep["bound"] == 0.5
     assert rep["pass"]
     assert len(rep["rows"]) == 2
+    with pytest.raises(ValueError, match="eps schedule is empty"):
+        delta_lower_bound_check(2.0, 3, [], 0.5, McConfig(10 ** 4, 3), rng)
 
 
 def test_sl2z_count_fixtures():
@@ -241,47 +242,33 @@ def _ext_gcd_local(a, b):
 
 def test_growth_fit_synthetic():
     radii = [100.0, 250.0, 500.0, 1000.0, 2500.0]
-    exact = [r * math.log(r) for r in radii]
-    series = growth_fit(CountSeries(radii, exact))
-    assert series.fitted_exponent == pytest.approx(1.0, abs=1e-6)
-    assert series.fit_residual <= 1e-9
-    # model-mismatch control: counts = rho^2 fit with the wrong log correction
-    quad = [r ** 2 for r in radii]
-    series2 = growth_fit(CountSeries(radii, quad))
-    assert series2.fitted_exponent == pytest.approx(2.0, abs=0.2)
-    assert series2.fit_residual > 1e-6
-    # criterion-12 control: at the SL(2,Z) log power the band [0.85, 1.15]
-    # accepts counts 6 rho and rejects the wrong growth law 6 rho log rho
-    linear = growth_fit(CountSeries(radii, [6.0 * r for r in radii]),
-                        log_power=SL2Z_LOG_POWER)
+    # an exact power law fits its exponent with no residual
+    quad = growth_fit(CountSeries(radii, [r ** 2 for r in radii]))
+    assert quad.fitted_exponent == pytest.approx(2.0, abs=1e-9)
+    assert quad.fit_residual <= 1e-9
+    # criterion-12 control: the band [0.85, 1.15] accepts counts 6 rho and
+    # rejects the wrong growth law 6 rho log rho
+    linear = growth_fit(CountSeries(radii, [6.0 * r for r in radii]))
     assert 0.85 <= linear.fitted_exponent <= 1.15
-    with_log = growth_fit(CountSeries(radii, [6.0 * r * math.log(r) for r in radii]),
-                          log_power=SL2Z_LOG_POWER)
+    with_log = growth_fit(CountSeries(radii, [6.0 * r * math.log(r) for r in radii]))
     assert not 0.85 <= with_log.fitted_exponent <= 1.15
-    # log log rho is not finite at rho <= 1: log power 0 leaves it out, any
-    # other log power refuses such a radius
+    assert with_log.fit_residual > 1e-6
+    # no log(log rho) enters, so radii at and below 1 fit like any other
     through_one = [0.5, 1.0, 10.0, 100.0, 1000.0]
     series = CountSeries(through_one, [6.0 * r for r in through_one])
-    assert growth_fit(series, log_power=0).fitted_exponent == pytest.approx(1.0)
-    with pytest.raises(ValueError, match="radius > 1"):
-        growth_fit(series, log_power=1)
+    assert growth_fit(series).fitted_exponent == pytest.approx(1.0)
 
 
 def test_growth_fit_on_real_counts():
     # ground truth from exact enumeration: the count grows linearly in rho
-    # (count/rho hovers near 6 across the whole range), so the uncorrected fit
-    # sits at ~0.99 while dividing out log(rho) depresses the slope to
-    # ~1 - 1/<log rho> ~ 0.84 over this decade-and-a-bit
+    # (count/rho hovers near 6 across the whole range), so the fit sits at ~1
     radii = [100.0, 250.0, 500.0, 1000.0, 2500.0]
     counts = [sl2z_count(r) for r in radii]
     assert counts[0] == 580
     assert all(a <= b for a, b in zip(counts, counts[1:]))
     for r, c in zip(radii, counts):
         assert 5.5 <= c / r <= 6.5
-    uncorrected = growth_fit(CountSeries(radii, counts), log_power=0)
-    assert uncorrected.fitted_exponent == pytest.approx(1.0, abs=0.05)
-    corrected = growth_fit(CountSeries(radii, counts), log_power=1)
-    assert corrected.fitted_exponent == pytest.approx(0.843, abs=0.02)
+    assert growth_fit(CountSeries(radii, counts)).fitted_exponent == pytest.approx(1.0, abs=0.05)
 
 
 def test_sl2_log_rejects_branch_point():

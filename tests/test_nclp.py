@@ -8,9 +8,19 @@ from ncfourier.nclp import (
     conjugate_exponent,
     lp_norm,
     matrix_lp_norm,
+    output_exponent,
     plancherel_trace,
     polar_parts,
 )
+
+
+def test_output_exponent():
+    assert output_exponent((4.0, 4.0), 2) == 1.0 / (1.0 / 4.0 + 1.0 / 4.0) == 2.0
+    assert output_exponent((3.0,), 1) == 3.0
+    assert output_exponent((1.5, 3.0, 7.0), 3) == 1.0 / (1.0 / 1.5 + 1.0 / 3.0 + 1.0 / 7.0)
+    assert output_exponent((math.inf, math.inf), 2) == math.inf  # Holder at the endpoint
+    with pytest.raises(ValueError, match="2 exponents for a symbol of arity 3"):
+        output_exponent((2.0, 2.0), 3)
 
 
 def test_conjugate_exponent():

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from ncfourier.groups import (
+    AlgebraElement,
     build_embedding,
     build_group,
+    complex_normal,
     conjugate_set,
     random_element,
 )
@@ -148,7 +150,9 @@ def test_one_sided_map_can_expand_without_subgroup_tiling():
     emb = build_embedding("rotations-in-dihedral:6")
     g = emb.amb
     V = g.subset([0, 6, 9])
-    x = random_element(emb.sub, np.random.default_rng(7), support=[0, 1, 2])
+    coeffs = np.zeros(emb.sub.order, dtype=complex)
+    coeffs[:3] = complex_normal(np.random.default_rng(7), 3)
+    x = AlgebraElement(emb.sub, coeffs)
     rep2 = embedding_contraction_residual(emb, x, V, 2.0)
     assert rep2.context["equality_gap"] <= 1e-12
     rep4 = embedding_contraction_residual(emb, x, V, 4.0)
@@ -207,7 +211,9 @@ def test_lower_bound_nontrivial_delta():
     emb = build_embedding("rotations-in-dihedral:12")
     g = emb.amb
     V = g.subset([0, 12])  # {e, s}: symmetric
-    x = random_element(emb.sub, np.random.default_rng(12), support=[0, 1])
+    coeffs = np.zeros(emb.sub.order, dtype=complex)
+    coeffs[:2] = complex_normal(np.random.default_rng(12), 2)
+    x = AlgebraElement(emb.sub, coeffs)
     y = emb.sub.delta_element(0)
     rep = embedding_lower_residual(emb, x, V, 4.0, y)
     assert rep.residual <= 1e-9
@@ -230,6 +236,20 @@ def test_lower_bound_precondition_names_condition():
     with pytest.raises(PreconditionError) as err:
         embedding_lower_residual(emb_full, xf, V, 4.0, yf)
     assert "disjointness" in str(err.value)
+
+
+@pytest.mark.parametrize("inequality", ["contraction", "lower"])
+def test_embedding_inequalities_reject_a_foreign_V(inequality):
+    # both check where V lives before any set arithmetic on it
+    from ncfourier.groups import GroupError
+
+    emb = build_embedding("cyclic-in-cyclic:2,16")
+    x, V = emb.sub.delta_element(1), build_group("cyclic:8").subset([0])
+    with pytest.raises(GroupError, match="V must live in the ambient group"):
+        if inequality == "contraction":
+            embedding_contraction_residual(emb, x, V, 4.0)
+        else:
+            embedding_lower_residual(emb, x, V, 4.0, emb.sub.delta_element(0))
 
 
 def test_lower_bound_requires_p_above_two():
@@ -514,11 +534,14 @@ PRECONDITION_EMBEDDINGS = ["cyclic-in-cyclic:2,8", "cyclic-in-cyclic:4,8",
 def _random_inputs(emb, rng):
     sub, amb = emb.sub, emb.amb
 
-    def support(most):
-        return rng.choice(sub.order, size=int(rng.integers(1, min(most, sub.order) + 1)),
-                          replace=False)
+    def element(most):  # Gaussian coefficients on at most ``most`` random elements
+        support = rng.choice(sub.order, size=int(rng.integers(1, min(most, sub.order) + 1)),
+                             replace=False)
+        coeffs = np.zeros(sub.order, dtype=complex)
+        coeffs[support] = complex_normal(rng, len(support))
+        return AlgebraElement(sub, coeffs)
 
-    x, y = random_element(sub, rng, support(3)), random_element(sub, rng, support(2))
+    x, y = element(3), element(2)
     V = _symmetric(amb, rng.choice(amb.order, size=int(rng.integers(1, 5)), replace=False))
     return x, y, V
 

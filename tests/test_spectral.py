@@ -15,8 +15,7 @@ from ncfourier.groups import (
 )
 from ncfourier.multipliers import OptimizerConfig, estimate_norm, symbol_from_spec
 from ncfourier.nclp import (
-    _block_gradient,
-    _singular_values,
+    _factor,
     lp_norm,
     lp_norm_gradient,
     lp_norms,
@@ -257,7 +256,8 @@ def _assert_blockwise_close(got, want, rel):
 @pytest.mark.parametrize("name", BLOCKS)
 def test_closed_form_values_match_svd(name, scale):
     blocks = BLOCKS[name] * scale
-    sigma = _singular_values(blocks)
+    sigma, grad = _factor(blocks)
+    assert grad is None
     reference = np.linalg.svd(blocks, compute_uv=False)
     assert sigma.shape == reference.shape
     assert np.all(sigma[..., 0] >= sigma[..., 1])
@@ -278,16 +278,16 @@ def test_closed_form_gradient_matches_svd(name, scale):
             # singular vectors, whose condition number sigma_1 / sigma_2 = 1e6
             # lets any two backward-stable methods differ by ~1e-10
             continue
-        grad = _block_gradient(blocks, p)[1]
+        grad = _factor(blocks, p)[1]
         assert grad.shape == blocks.shape
         _assert_blockwise_close(grad, _svd_gradient(blocks, p), 1e-12)
 
 
 def test_closed_form_keeps_the_batch_axes():
     blocks = BLOCKS["generic"].reshape(2, 4, 1, 2, 2)
-    sigma, grad = _block_gradient(blocks, 3.0)
+    sigma, grad = _factor(blocks, 3.0)
     assert sigma.shape == (2, 4, 1, 2) and grad.shape == blocks.shape
-    flat_sigma, flat_grad = _block_gradient(BLOCKS["generic"], 3.0)
+    flat_sigma, flat_grad = _factor(BLOCKS["generic"], 3.0)
     assert np.array_equal(sigma.reshape(8, 2), flat_sigma)
     assert np.array_equal(grad.reshape(8, 2, 2), flat_grad)
 
