@@ -171,10 +171,10 @@ def cmd_restrict(args) -> int:
     m = _symbol_from_flag(emb.amb, args.symbol, 1)
     cfg = OptimizerConfig(restarts=args.restarts, seed=args.seed)
     rep = restriction_consistency(emb, m, (float(args.p),), float(args.p), cfg)
-    payload = rep.to_json_dict()
-    payload["statement"] = "restricted multiplier norm bounded by ambient norm (witness transport)"
-    _write_json(args.out, payload)
-    _report_line(rep.name, rep.passed, f"residual {rep.residual:.3e}")
+    _write_json(args.out, {**rep.to_json_dict(), "statement":
+                           "restricted multiplier norm bounded by ambient norm (witness transport)"})
+    gap = "" if rep.holds else f", transport gap {rep.context['witness_transport_gap']:.1e}"
+    _report_line(rep.name, rep.passed, f"residual {rep.residual:.3e}{gap}")
     return 0 if rep.passed else 1
 
 

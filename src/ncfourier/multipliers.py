@@ -1,20 +1,20 @@
 """Linear and multilinear Fourier multipliers on finite groups.
 
 A multiplier with symbol m on G^n sends (lambda(f_1), ..., lambda(f_n)) to
-sum over tuples of m(s_1,...,s_n) f_1(s_1)...f_n(s_n) lambda(s_1...s_n).
-Norm estimation is lower-bound-only: multi-start projected gradient ascent on
-the coefficient vectors, with witnesses kept so every reported value is the
-evaluated ratio of a concrete input tuple.  No upper-bound certification is
-attempted away from the exact p = 2 linear case.  The starts are held as one
-(S, N) coefficient stack per slot and advance together: each iteration is one
-batched forward transform, one batched SVD per block stack and one batched
-adjoint for every start still running.  The stack is cut into chunks of at
-most max(1, 2^20 // N^arity) starts, so no stacked tensor passes 16 MB.
+sum over tuples of m(s_1,...,s_n) f_1(s_1)...f_n(s_n) lambda(s_1...s_n),
+computed in gather form (``_apply_stack``).  Norm estimation is
+lower-bound-only: a multi-start power iteration (Boyd's method for l_p
+operator norms, run on noncommutative L_p) on the coefficient vectors, with
+witnesses kept so every reported value is the evaluated ratio of a concrete
+input tuple.  No upper-bound certification is attempted away from the exact
+p = 2 linear case.  The starts advance together as one (S, N) stack per
+slot, in chunks of at most max(1, 2^20 // N^arity) starts (16 MB).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -32,7 +32,14 @@ from .groups import (
     random_element,
     same_group,
 )
-from .nclp import check_exponent, exponent_tuple, lp_norm, lp_norm_gradient, lp_norms
+from .nclp import (
+    check_exponent,
+    conjugate_exponent,
+    exponent_tuple,
+    lp_norm,
+    lp_norm_gradient,
+    lp_norms,
+)
 
 __all__ = [
     "Symbol",
@@ -54,9 +61,12 @@ MAX_TABLE = 2 ** 24
 # estimate_norm advances its starts in chunks whose symbol-sized tensors (one
 # N^arity table per start) hold at most this many entries: 16 MB of complex
 _STACK_ENTRIES = 2 ** 20
-# a start stops when an accepted step improves its ratio by less than this,
-# relatively
-_STEP_TOLERANCE = 1e-10
+# a start stops when an iteration raises its ratio by less than this, relatively
+_STOP_TOLERANCE = 1e-10
+# a gathered multilinear table holds at most this many entries at a time (4 MB)
+_SLAB_ENTRIES = 2 ** 18
+# einsum subscripts, one per slot; "z" is left for the output
+_SLOTS = "abcdefghijklmnopqrstuvwxy"
 
 
 @dataclass(eq=False)
@@ -78,20 +88,36 @@ class Symbol:
             raise ValueError("symbol values must be finite")
 
 
+def _cached(group: FiniteGroup, key: tuple, build) -> np.ndarray:
+    """The read-only array ``build()``, made once per group and key and kept
+    on the group, as its spectral layer is; nothing is kept per symbol."""
+    cache = group.__dict__.setdefault("_index_tables", {})
+    if key not in cache:
+        cache[key] = build()
+        cache[key].setflags(write=False)
+    return cache[key]
+
+
 def _product_index_grid(group: FiniteGroup, arity: int) -> np.ndarray:
-    """Array P of shape (N,)*arity with P[s_1,...,s_n] = s_1 s_2 ... s_n."""
-    prod = np.arange(group.order)
-    for _ in range(arity - 1):
-        prod = group.mul[prod[..., None], np.arange(group.order)]
-    return prod
+    """Array P of shape (N,)*arity with P[s_1,...,s_n] = s_1 s_2 ... s_n (int32)."""
+    if arity == 1:
+        return np.arange(group.order, dtype=np.int32)
+    return _cached(group, ("product", arity), lambda: group.mul[
+        _product_index_grid(group, arity - 1)[..., None], np.arange(group.order)])
 
 
-def _coeff_outer(fs: list[np.ndarray]) -> np.ndarray:
-    """Outer product of (..., N) stacks over their last axis, row by row."""
-    out = fs[0]
-    for k, f in enumerate(fs[1:], 1):
-        out = out[..., None] * f.reshape(f.shape[:-1] + (1,) * k + f.shape[-1:])
-    return out
+def _gather_index(group: FiniteGroup, arity: int) -> np.ndarray:
+    """Flat int32 index I of shape (N,)*n with I[s_1, ..., s_{n-1}, t] = k N + u,
+    where k is the flat position of (s_1, ..., s_{n-1}) and
+    u = (s_1 ... s_{n-1})^-1 t, so y.reshape(-1)[I] holds y[s_1, ..., s_{n-1}, u]."""
+    N = group.order
+
+    def build():
+        prefix = _product_index_grid(group, arity - 1)[..., None]
+        flat = N * np.arange(N ** (arity - 1), dtype=np.int32).reshape(prefix.shape)
+        return flat + group.mul[group.inv[prefix], np.arange(N)]
+
+    return _cached(group, ("gather", arity), build)
 
 
 def apply_multiplier(m: Symbol, *fs: AlgebraElement) -> AlgebraElement:
@@ -105,17 +131,37 @@ def apply_multiplier(m: Symbol, *fs: AlgebraElement) -> AlgebraElement:
 
 
 def _apply_stack(m: Symbol, cs: list[np.ndarray]) -> np.ndarray:
-    """T_m on (..., N) coefficient stacks, one output row per row of inputs."""
+    """T_m on (..., N) coefficient stacks, one output row per row of inputs.
+
+    In gather form: out(t) = sum over s_1..s_{n-1} of m(s_1, ..., s_{n-1}, u)
+    x_1(s_1) ... x_{n-1}(s_{n-1}) x_n(u) with u = (s_1 ... s_{n-1})^-1 t.  The
+    table y = m x_n is gathered through ``_gather_index`` and the leading
+    slots are contracted with einsum."""
     if m.arity == 1:
         return m.values * cs[0]
-    N, lead = m.parent.order, cs[0].shape[:-1]
-    grid = _product_index_grid(m.parent, m.arity)
-    if lead:
-        # row r adds into the flat entries r*N + s, in the one-row order
-        grid = grid + N * np.arange(math.prod(lead)).reshape(lead + (1,) * m.arity)
-    out = np.zeros(lead + (N,), dtype=complex)
-    np.add.at(out.reshape(-1), grid, m.values * _coeff_outer(cs))
-    return out
+    n, N = m.arity, m.parent.order
+    y = m.values * cs[-1].reshape(cs[-1].shape[:-1] + (1,) * (n - 1) + (N,))
+    flat, index = y.reshape(y.shape[:-n] + (-1,)), _gather_index(m.parent, n)
+    slots = _SLOTS[:n - 1]
+    spec = ",".join("..." + a for a in slots) + f",...{slots}z->...z"
+    # gathered in slabs of s_1 by plain indexing (np.take would copy the index to intp)
+    step = max(1, _SLAB_ENTRIES * N // flat.size)
+    return sum(np.einsum(spec, cs[0][..., lo:lo + step], *cs[1:-1], flat[..., index[lo:lo + step]])
+               for lo in range(0, N, step))
+
+
+def _partial_adjoint(m: Symbol, z: np.ndarray, cs: list[np.ndarray], i: int) -> np.ndarray:
+    """The adjoint of x_i -> T_m(x_1, ..., x_n), the other slots fixed, at the
+    (S, N) stack z: s_i -> sum over the other slots of conj(m(s)) z(s_1 ... s_n)
+    prod_{j != i} conj(x_j(s_j)).  Arity 1 is conj(m) z."""
+    n = m.arity
+    if n == 1:
+        return np.conj(m.values) * z
+    slots = _SLOTS[:n]
+    others = [j for j in range(n) if j != i]
+    spec = f"{slots},...{slots}," + ",".join("..." + slots[j] for j in others) + f"->...{slots[i]}"
+    return np.einsum(spec, np.conj(m.values), z[..., _product_index_grid(m.parent, n)],
+                     *(np.conj(cs[j]) for j in others))
 
 
 @dataclass
@@ -136,9 +182,11 @@ class NormEstimate:
     ``value`` always equals the evaluated ratio of ``witness`` (self
     certifying); it is a lower bound on the true norm by construction, and
     the gap to the true norm is unquantified away from the exact cases.
-    ``converged`` says whether any start converged, ``converged_runs`` how
-    many did, and ``restart_values`` holds the final ratio of each start
-    (warm starts first; 0 for a start that cannot be normalized).
+    ``iterations`` counts power-iteration sweeps (one update of every slot),
+    summed over the starts.  ``converged`` says whether any start stopped on
+    the tolerance, ``converged_runs`` how many did, and ``restart_values``
+    holds the final ratio of each start (warm starts first; 0 for a start
+    that cannot be normalized).
     """
 
     value: float
@@ -190,99 +238,46 @@ def _ratios(m: Symbol, cs: list[np.ndarray], ps, p: float) -> np.ndarray:
     return np.divide(value, denom, out=np.zeros(np.shape(value)), where=~zero)
 
 
-def _normalized(
-    group: FiniteGroup, cs: list[np.ndarray], ps
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each row of each (S, N) slot stack scaled to unit L_{p_i} norm, and the
-    mask of rows with a slot norm <= 1e-300 (left unscaled)."""
-    out, tiny = [], np.zeros(len(cs[0]), dtype=bool)
-    for c, q in zip(cs, ps):
-        nrm = lp_norms(group, c, q)
-        small = nrm <= 1e-300
-        tiny |= small
-        out.append(c / np.where(small, 1.0, nrm)[:, None])
-    return out, tiny
+def _power_iterate(m: Symbol, fs: list[np.ndarray], ps_opt, p_opt: float,
+                   cfg: OptimizerConfig) -> tuple[int, int]:
+    """Boyd's power iteration for ||T_m: L_{p_1} x ... x L_{p_n} -> L_p||, run
+    on every row of the unit-norm (S, N) slot stacks ``fs`` at once, in place;
+    returns (iterations, converged rows).
 
-
-def _value_grads(m: Symbol, cs: list[np.ndarray], p: float) -> tuple[np.ndarray, list[np.ndarray]]:
-    """||T_m(rows)||_p and its ascent direction in each slot, for (S, N)
-    slot stacks, from one factorization per block stack; degenerate (flat)
-    gradients are nudged by the caller."""
-    group, n, N = m.parent, m.arity, m.parent.order
-    value, gout = lp_norm_gradient(group, _apply_stack(m, cs), p)
-    if n == 1:
-        return value, [np.conj(m.values) * gout]
-    gathered = gout[..., _product_index_grid(group, n)]
-    grads = []
-    for i in range(n):
-        weight = np.conj(m.values) * gathered
-        # contract all slots except i
-        for j in range(n):
-            if j == i:
-                continue
-            shape = [1] * n
-            shape[j] = N
-            weight = weight * np.conj(cs[j]).reshape((len(cs[j]), *shape))
-        grads.append(np.sum(weight, axis=tuple(1 + j for j in range(n) if j != i)))
-    return value, grads
-
-
-def _ascend(m: Symbol, fs: list[np.ndarray], nudge_seeds: list[int], ps_opt, p_opt: float,
-            cfg: OptimizerConfig) -> tuple[int, int]:
-    """Projected gradient ascent of every row of the normalized (S, N) slot
-    stacks ``fs`` at once, in place; returns (iterations, converged rows).
-
-    Each row follows the one-start rule: step 0.5, grown by 1.2 (up to 2) on
-    an accepted step and halved on a rejected one; a flat gradient gets a
-    1e-9 nudge from the row's own generator; the row stops when an accepted
-    step improves by less than ``_STEP_TOLERANCE`` relatively or the step
-    falls below 1e-12 (both count as converged), when a proposal cannot be
-    normalized, or after ``max_iterations``.  Rows leave the batch through
-    the ``active`` mask.
+    One iteration updates the slots in turn (Gauss-Seidel), each from the
+    latest values of the others: with z the norming element of y = T_m(x) in
+    L_p' and w = T_i^*(z), x_i becomes the norming element of w in L_{p_i'}
+    (both from ``lp_norm_gradient``), of unit L_{p_i} norm.  By Hoelder,
+    ||T_m(x_+)||_p >= <x_i+, w> = ||w||_{p_i'} >= <x_i, w> = ||T_m(x)||_p,
+    so no update lowers a row's ratio.  A row stops when an iteration raises
+    its ratio by less than ``_STOP_TOLERANCE`` relatively (it counts as
+    converged), after ``cfg.max_iterations``, or at once if T_m sends it to 0.
     """
-    group = m.parent
-    value, grads = _value_grads(m, fs, p_opt)
-    step = np.full(len(value), 0.5)
-    iterations = 0
-    converged = np.zeros(len(value), dtype=bool)
-    active = np.ones(len(value), dtype=bool)
-    nudges: dict[int, np.random.Generator] = {}
+    group, n = m.parent, m.arity
+    duals = [conjugate_exponent(q) for q in ps_opt]
+    value, z = lp_norm_gradient(group, _apply_stack(m, fs), p_opt)
+    live = value > 1e-300
+    rows, xs, value, z = np.flatnonzero(live), [f[live] for f in fs], value[live], z[live]
+    iterations = converged = 0
     for _ in range(cfg.max_iterations):
-        live = np.flatnonzero(active)
-        if not live.size:
+        if not rows.size:
             break
-        iterations += live.size
-        norms = [np.linalg.norm(g[live], axis=-1) for g in grads]
-        flat = np.any([gn < 1e-14 for gn in norms], axis=0)
-        proposal = [f[live] + step[live, None] * g[live] / np.where(gn < 1e-14, 1.0, gn)[:, None]
-                    for f, g, gn in zip(fs, grads, norms)]
-        for i in np.flatnonzero(flat):
-            # repeated singular values flatten the subgradient; nudge
-            k = int(live[i])
-            rng = nudges.setdefault(
-                k, np.random.default_rng([cfg.seed, nudge_seeds[k], 977]))
-            for x in proposal:
-                x[i] = x[i] + 1e-9 * random_element(group, rng).coeffs
-        proposal, tiny = _normalized(group, proposal, ps_opt)
-        active[live[tiny]] = False
-        live, proposal = live[~tiny], [x[~tiny] for x in proposal]
-        if not live.size:
-            break
-        new_value, new_grads = _value_grads(m, proposal, p_opt)
-        up = new_value >= value[live]
-        rows = live[up]
-        improvement = new_value[up] - value[rows]
-        for f, g, x, gx in zip(fs, grads, proposal, new_grads):
-            f[rows], g[rows] = x[up], gx[up]
-        value[rows] = new_value[up]
-        step[rows] = np.minimum(step[rows] * 1.2, 2.0)
-        stop = rows[improvement < _STEP_TOLERANCE * np.maximum(value[rows], 1e-30)]
-        down = live[~up]
-        step[down] *= 0.5
-        stop = np.concatenate([stop, down[step[down] < 1e-12]])
-        converged[stop] = True
-        active[stop] = False
-    return iterations, int(converged.sum())
+        iterations += rows.size
+        for i in range(n):
+            if i:
+                z = lp_norm_gradient(group, _apply_stack(m, xs), p_opt)[1]
+            xs[i] = lp_norm_gradient(group, _partial_adjoint(m, z, xs, i), duals[i])[1]
+        value_before, (value, z) = value, lp_norm_gradient(group, _apply_stack(m, xs), p_opt)
+        done = value - value_before < _STOP_TOLERANCE * value
+        if done.any():
+            for f, x in zip(fs, xs):
+                f[rows[done]] = x[done]
+            converged += int(done.sum())
+            keep = ~done
+            rows, xs, value, z = rows[keep], [x[keep] for x in xs], value[keep], z[keep]
+    for f, x in zip(fs, xs):
+        f[rows] = x
+    return iterations, converged
 
 
 def estimate_norm(
@@ -294,8 +289,9 @@ def estimate_norm(
 ) -> NormEstimate:
     """Estimate ||T_m: L_{p_1} x ... x L_{p_n} -> L_p|| from below.
 
-    Multi-start projected gradient ascent over the coefficient vectors,
-    deterministic given ``cfg.seed``.  The tuple of point masses at argmax|m|
+    A multi-start power iteration over the coefficient vectors (see
+    ``_power_iterate``), deterministic given ``cfg.seed``; no iteration
+    lowers a start's ratio at the exponents it runs at.  The tuple of point masses at argmax|m|
     is scored first: its ratio is sup|m| at every exponent, because lambda(s)
     is unitary, so the estimate never falls below sup|m|.  The linear
     p = p_1 = 2 case returns that candidate, which is exact there.  p or p_i
@@ -306,7 +302,7 @@ def estimate_norm(
     The starts (the warm starts, then ``cfg.restarts`` random ones) are held
     as one (S, N) stack per slot and advance together, in chunks of at most
     max(1, 2^20 // N^arity) starts; each start follows the same rule
-    as if it ran alone (see ``_ascend``).  The best witness is chosen in start
+    as if it ran alone.  The best witness is chosen in start
     order: each start's ratio at its start, then at its end, replaces the
     best so far when it is strictly larger.
     """
@@ -334,7 +330,6 @@ def estimate_norm(
     bias = 0.0 if (p_opt == p and ps_opt == ps) else 1e-6
 
     starts = [[AlgebraElement(group, c).coeffs for c in w] for w in warm_starts or []]
-    nudge_seeds = [0] * len(starts) + list(range(cfg.restarts))
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, r])
         starts.append([random_element(group, rng).coeffs for _ in range(n)])
@@ -344,15 +339,15 @@ def estimate_norm(
     total_iter = converged_runs = 0
     chunk = max(1, _STACK_ENTRIES // N ** n)
     for lo in range(0, len(starts), chunk):
-        fs, tiny = _normalized(
-            group, [np.array([s[j] for s in starts[lo:lo + chunk]]) for j in range(n)], ps_opt)
-        kept = np.flatnonzero(~tiny)
+        fs = [np.array([s[j] for s in starts[lo:lo + chunk]]) for j in range(n)]
+        norms = [lp_norms(group, f, q) for f, q in zip(fs, ps_opt)]
+        # a start with a slot of norm <= 1e-300 cannot be normalized
+        kept = np.flatnonzero(np.all([nrm > 1e-300 for nrm in norms], axis=0))
         if not kept.size:
             continue
-        fs = [f[kept] for f in fs]
+        fs = [f[kept] / nrm[kept, None] for f, nrm in zip(fs, norms)]
         start, start_ratio = [f.copy() for f in fs], _ratios(m, fs, ps, p)
-        iterations, converged = _ascend(
-            m, fs, [nudge_seeds[lo + k] for k in kept], ps_opt, p_opt, cfg)
+        iterations, converged = _power_iterate(m, fs, ps_opt, p_opt, cfg)
         end_ratio = _ratios(m, fs, ps, p)
         total_iter += iterations
         converged_runs += converged
@@ -363,17 +358,9 @@ def estimate_norm(
         restart_values[lo + kept] = end_ratio
 
     return NormEstimate(
-        value=best_value,
-        witness=best_witness,
-        restarts=cfg.restarts,
-        iterations=total_iter,
-        converged=converged_runs > 0,
-        seed=cfg.seed,
-        p=p,
-        ps=ps,
-        smoothing_bias=bias,
-        converged_runs=converged_runs,
-        restart_values=restart_values,
+        value=best_value, witness=best_witness, restarts=cfg.restarts, iterations=total_iter,
+        converged=converged_runs > 0, seed=cfg.seed, p=p, ps=ps, smoothing_bias=bias,
+        converged_runs=converged_runs, restart_values=restart_values,
     )
 
 
@@ -546,14 +533,12 @@ def symbol_from_spec(group: FiniteGroup, spec: str, arity: int = 1) -> Symbol:
             raise ValueError(f"gaussian width {rest!r} is not in (0, inf)")
         dist = group.word_distances().astype(float)
         one = np.exp(-(dist ** 2) / (2.0 * sigma ** 2))
-        values = _coeff_outer([one] * arity) if arity > 1 else one
-        return Symbol(group, arity, values)
+        return Symbol(group, arity, functools.reduce(np.multiply.outer, [one] * arity))
     if kind == "indicator":
         subset = parse_subset(group, rest)
         one = np.zeros(N)
         one[subset.sorted()] = 1.0
-        values = _coeff_outer([one] * arity) if arity > 1 else one
-        return Symbol(group, arity, values)
+        return Symbol(group, arity, functools.reduce(np.multiply.outer, [one] * arity))
     if kind == "random":
         rng = np.random.default_rng(int(rest))
         shape = (N,) * arity

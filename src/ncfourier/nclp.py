@@ -124,43 +124,55 @@ def lp_norm_gradient(
     group: FiniteGroup, coeffs: np.ndarray, p: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """||lambda(f)||_p (1 < p < inf) of each row f of a (..., N) coefficient
-    stack, and the ascent direction of the norm in the coefficients of f.
+    stack, and the gradient of the norm: the coefficients of the norming
+    element z = J_p(f) / ||f||_p^(p-1), where J_p(f) = U sigma^(p-1) V^H on
+    each block f^(pi) = U sigma V^H.  So ||z||_p' = 1 and <f, z> = sum_s
+    f(s) conj(z(s)) = ||f||_p; z = 0 on a zero row.
 
-    Each block f^(pi) = U sigma V^H gives G_pi = U sigma^(p-1) V^H (constant
-    factors dropped, since callers renormalize steps), pulled back by the
-    adjoint transform: the coefficient vector s -> sum_pi d_pi tr(pi(s)^* G_pi),
-    which is the regular-matrix gradient summed over the entries (t, u) with
-    t u^-1 = s.
-
-    The powers are taken unscaled, unlike in ``lp_norms``: its one caller,
-    the optimizer, passes T_m of inputs normalized to unit norm, whose size
-    stays near that of the symbol.
+    J_p(f) is pulled back by the adjoint transform, s -> (1/N) sum_pi d_pi
+    tr(pi(s)^* G_pi).  As in ``lp_norms``, the singular values are divided by
+    the row's largest before any power is taken, so p' near 1 (p ~ 1e6) does
+    not overflow.  At p = 2, z = f / ||f||_2 needs no factorization.
     """
+    if p == 2.0:
+        norm = np.linalg.norm(coeffs, axis=-1)
+        return norm, coeffs / np.where(norm > 0.0, norm, 1.0)[..., None]
     spec = group.spectral()
-    total, grads = 0.0, []
-    for d, b in zip(spec.dims, spec.forward(coeffs)):
-        sigma, grad = _factor(b, p)
-        grads.append(grad)
-        total = total + d * (sigma ** p).sum(axis=(-2, -1))
-    return (total / spec.order) ** (1.0 / p), spec.adjoint(grads)
+    parts = [_factor(b, p) for b in spec.forward(coeffs)]
+    top = functools.reduce(np.maximum, [s.max(axis=(-2, -1), initial=0.0) for s, _ in parts])
+    col = np.maximum(top, _SUBNORMAL)[..., None, None]
+    mean, grads = 0.0, []
+    for d, (s, g) in zip(spec.dims, parts):
+        ratio = s / col
+        power = ratio ** (p - 1.0)
+        mean = mean + (d / spec.order) * (power * ratio).sum(axis=(-2, -1))
+        # each block's gradient comes divided by its own sigma_1^(p-1)
+        grads.append(g * power[..., :1, None])
+    # J, built from sigma / top, has ||J||_p' = mean^(1/p'); adjoint adds N.
+    # A zero row has zero gradients, and any positive divisor keeps it 0.
+    dual = spec.order * np.maximum(mean, _SUBNORMAL) ** (1.0 - 1.0 / p)
+    return col[..., 0, 0] * mean ** (1.0 / p), spec.adjoint(grads) / dual[..., None]
 
 
 def _factor(blocks: np.ndarray, p: float | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """Singular values (..., k, d) of a (..., k, d, d) block stack and, given
-    1 < p < inf, U sigma^(p-1) V^H of each block (else None), as ``_svd2``
-    returns them; only blocks of size >= 3 go to ``numpy.linalg.svd``."""
+    1 < p < inf, U (sigma / sigma_1)^(p-1) V^H of each block, where sigma_1
+    is the block's own largest singular value, so no power overflows (0 on a
+    zero block; None without p), as ``_svd2`` returns them; only blocks of
+    size >= 3 go to ``numpy.linalg.svd``."""
     d = blocks.shape[-1]
     if d == 2:
         return _svd2(blocks, p)
     if d == 1:
         mag = np.abs(blocks)
-        grad = None if p is None else blocks * np.power(
-            mag, p - 2.0, out=np.zeros(mag.shape), where=mag > 0)
+        grad = None if p is None else np.divide(blocks, mag, out=np.zeros(blocks.shape, complex),
+                                                where=mag > 0)
         return mag[..., 0], grad
     if p is None:
         return np.linalg.svd(blocks, compute_uv=False), None
     u, sigma, vh = np.linalg.svd(blocks)
-    return sigma, (u * sigma[..., None, :] ** (p - 1.0)) @ vh
+    ratio = np.divide(sigma, sigma[..., :1], out=np.zeros(sigma.shape), where=sigma[..., :1] > 0)
+    return sigma, (u * ratio[..., None, :] ** (p - 1.0)) @ vh
 
 
 _COFACTOR_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])[:, None]
@@ -169,12 +181,12 @@ _TINY = np.finfo(float).tiny
 
 def _svd2(blocks: np.ndarray, p: float | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """Singular values (..., k, 2) of a (..., k, 2, 2) block stack in closed
-    form and, given p, U sigma^(p-1) V^H of each block (else None).
+    form and, given p, U (sigma / sigma_1)^(p-1) V^H of each block (else None).
 
     sigma_1^2 = (||A||_F^2 + gap) / 2 with gap = sigma_1^2 - sigma_2^2 taken
     from the entries of A^H A (||A||_F^4 - 4|det A|^2 would cancel when
     sigma_1 ~ sigma_2), and sigma_2 = |det A| / sigma_1, never a difference.
-    The gradient is sigma_1^(p-2) (alpha A + beta C) with C = (det A / |det A|)
+    The gradient is (alpha A + beta C) / sigma_1 with C = (det A / |det A|)
     [[d*, -c*], [-b*, a*]] = U diag(sigma_2, sigma_1) V^H.  With
     r = sigma_2 / sigma_1 and g_q = (1 - r^q) / (1 - r^2), alpha = g_p and
     beta = (r^(p-1) - r) / (1 - r^2), which is r^(p-1) g_(2-p) below p = 2 and
@@ -201,8 +213,6 @@ def _svd2(blocks: np.ndarray, p: float | None = None) -> tuple[np.ndarray, np.nd
     values = sigma.T.reshape(lead + (2,))
     if p is None:
         return values, None
-    if p == 2.0:
-        return values, blocks
     with np.errstate(divide="ignore", invalid="ignore"):
         t = gap / s1_sq
         log_ratio = np.log1p(gap / (s2 * s2))
@@ -212,7 +222,7 @@ def _svd2(blocks: np.ndarray, p: float | None = None) -> tuple[np.ndarray, np.nd
             beta = r ** (p - 1.0) * _mean_power(2.0 - p, log_ratio, t)
         else:
             beta = -r * _mean_power(p - 2.0, log_ratio, t)
-    scale = s1_safe ** (p - 2.0)
+    scale = 1.0 / s1_safe
     phase = det / (mag + (mag == 0))  # det / |det|, and 0 where det = 0
     grad = (scale * alpha) * entries + (scale * beta * phase) * (conj[::-1] * _COFACTOR_SIGNS)
     return values, grad.T.reshape(lead + (2, 2))

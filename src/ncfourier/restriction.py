@@ -93,10 +93,12 @@ class ResidualReport:
     residual: float
     tolerance: float
     context: dict = field(default_factory=dict)
+    # a condition the residual does not carry; False fails the report
+    holds: bool = True
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.tolerance
+        return self.holds and self.residual <= self.tolerance
 
     def to_json_dict(self) -> dict:
         return {
@@ -280,7 +282,9 @@ def restriction_consistency(
     ambient group (exact ratio equality: the ambient regular representation of
     a subgroup-supported element is [G:H] copies of the subgroup one), then
     reruns the ambient optimizer seeded with the transported witness and
-    reports max(0, found_sub - found_amb).
+    reports max(0, found_sub - found_amb).  The report fails too when the
+    transported ratio misses the subgroup one by more than
+    1e-9 max(1, found_sub), as a wrong restriction of the symbol makes it.
     """
     ps = exponent_tuple(ps)
     m_sub = restrict_symbol(m, emb)
@@ -293,6 +297,7 @@ def restriction_consistency(
         name="restriction-consistency",
         residual=max(0.0, est_sub.value - est_amb.value),
         tolerance=1e-6,
+        holds=transport_gap <= 1e-9 * max(1.0, est_sub.value),
         context={
             "p": p,
             "ps": list(ps),

@@ -88,6 +88,27 @@ def test_restrict_and_periodize():
                 "indices:0,2", "--symbol", "random:3", "--trials", "5"]) == 0
 
 
+def test_restrict_fails_on_a_wrong_restriction(monkeypatch, capsys):
+    # a restricted symbol scaled by 0.8 keeps the subgroup norm below the
+    # ambient one, so only the witness transport gap can catch it
+    from ncfourier import restriction
+    from ncfourier.multipliers import Symbol
+
+    right = restriction.restrict_symbol
+    monkeypatch.setattr(restriction, "restrict_symbol",
+                        lambda m, emb: Symbol(emb.sub, 1, 0.8 * right(m, emb).values))
+    assert run(["restrict", "--embedding", "cyclic-in-cyclic:2,4", "--symbol", "random:5",
+                "--p", "4", "--restarts", "30", "--seed", "2"]) == 1
+    out = capsys.readouterr().out
+    report = json.loads(out.rsplit("\n[", 1)[0])
+    assert report["residual"] == 0.0 and report["pass"] is False
+    gap = report["context"]["witness_transport_gap"]
+    assert gap > 0.2 * report["context"]["sub_value"]
+    # the verdict line names the gap, not only the passing residual
+    assert out.splitlines()[-1] == ("[FAIL] restriction-consistency: residual 0.000e+00, "
+                                    f"transport gap {gap:.1e}")
+
+
 def test_lattice_maps_command():
     assert run(["lattice-maps", "--group", "cyclic:64", "--stride", "8",
                 "--trials", "3", "--seed", "1"]) == 0

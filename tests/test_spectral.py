@@ -139,7 +139,33 @@ def test_gradient_pullback_matches_dense(name):
         np.add.at(dense, g.mul[:, g.inv], gmat)
         value, grad = lp_norm_gradient(g, f.coeffs, p)
         assert value == pytest.approx(matrix_lp_norm(mat, p), rel=1e-12, abs=0)
-        assert np.max(np.abs(grad - dense)) <= 1e-12 * np.max(np.abs(dense))
+        # the pull-back sums N copies of each coefficient of J_p(f), and the
+        # norming element divides J_p(f) by ||f||_p^(p-1)
+        want = dense / (g.order * value ** (p - 1.0))
+        assert np.max(np.abs(grad - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["cyclic:96", "dihedral:4", "dihedral:33", "heisenberg:2",
+                                  "heisenberg:3", "quotient"])
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+def test_norming_element_has_unit_dual_norm(name, scale):
+    # z = lp_norm_gradient(f, p)[1] has ||z||_p' = 1 and <f, z> = ||f||_p, read
+    # against lp_norms; p = 1e6 + 1 is the dual side of the p = 1 smoothing,
+    # where (sigma / top)^(p-1) underflows for every sigma but the top ones
+    g = GROUPS[name]()
+    rows = scale * np.array([_random_coeffs(g.order, seed=s) for s in range(3)])
+    rows[1, 1:] *= 1e-3  # close to a point mass: near-equal top singular values
+    for p in (1.0 + 1e-6, 1.5, 2.0, 3.0, 4.0, 1.0 / (1.0 - 1.0 / (1.0 + 1e-6))):
+        dual = 1.0 / (1.0 - 1.0 / p)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            values, zs = lp_norm_gradient(g, rows, p)
+        assert values == pytest.approx(lp_norms(g, rows, p), rel=1e-12, abs=0)
+        assert lp_norms(g, zs, dual) == pytest.approx(np.ones(len(rows)), rel=1e-12, abs=0)
+        pairing = np.einsum("ij,ij->i", rows, zs.conj())
+        assert pairing.real == pytest.approx(values, rel=1e-12, abs=0)
+        assert np.all(np.abs(pairing.imag) <= 1e-12 * values)
+    values, zs = lp_norm_gradient(g, np.zeros((2, g.order)), 3.0)
+    assert not values.any() and not zs.any()
 
 
 @pytest.mark.parametrize("name", ["cyclic:96", "dihedral:4", "heisenberg:2", "nested-product",
@@ -270,9 +296,11 @@ def test_closed_form_values_match_svd(name, scale):
 @pytest.mark.parametrize("name", BLOCKS)
 def test_closed_form_gradient_matches_svd(name, scale):
     blocks = BLOCKS[name] * scale
+    # each block's gradient comes divided by its own sigma_1^(p-1), so the
+    # reference factorizes the blocks divided by sigma_1 (zero blocks stay 0)
+    top = np.linalg.svd(blocks, compute_uv=False)[..., :1, None]
+    unit = blocks / np.where(top > 0, top, 1.0)
     for p in GRADIENT_PS:
-        if abs((p - 1.0) * math.log10(scale)) > 300:
-            continue  # sigma^(p-1) leaves the double range: 1e450 or 1e-450
         if name == "graded" and p < 2.0:
             # sigma_2^(p-1) is not small, so the gradient carries the second
             # singular vectors, whose condition number sigma_1 / sigma_2 = 1e6
@@ -280,7 +308,7 @@ def test_closed_form_gradient_matches_svd(name, scale):
             continue
         grad = _factor(blocks, p)[1]
         assert grad.shape == blocks.shape
-        _assert_blockwise_close(grad, _svd_gradient(blocks, p), 1e-12)
+        _assert_blockwise_close(grad, _svd_gradient(unit, p), 1e-12)
 
 
 def test_closed_form_keeps_the_batch_axes():
