@@ -26,6 +26,7 @@ from .liealg import build_model, exp_density, max_nilpotent_dim
 from .multipliers import (
     OptimizerConfig,
     Symbol,
+    _require_table,
     consummation_residual,
     estimate_norm,
     nested_residual,
@@ -135,10 +136,11 @@ def cmd_norm(args) -> int:
 def cmd_identity_check(args) -> int:
     _require_count("--trials", args.trials)
     group = build_group(args.group)
+    n = args.n
+    _require_table(group.order, n)  # every kind builds an arity-n table
     rng = np.random.default_rng(args.seed)
     rows = []
     ok = True
-    n = args.n
     if args.kind in ("consummation", "all"):
         m = symbol_from_spec(group, f"random:{args.seed}", arity=max(n - 1, 1))
         idx = [1] + list(range(3, n + 1))[: max(n - 1, 1) - 1]
@@ -263,7 +265,8 @@ def cmd_delta_mc(args) -> int:
         return 0
     bound, ok = mc.delta_bound_verdict(est, args.rho)
     _report_line("conjugation-survival estimate", ok,
-                 f"{detail} vs lower bound 1/rho = {bound:.6f} (3 stderr)")
+                 f"{detail} vs lower bound 1/rho = {bound:.6f} (3 stderr)" if est.hits
+                 else f"{detail}: no sample fell inside W")
     return 0 if ok else 1
 
 
@@ -571,7 +574,7 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as exc:
         print(f"untestable configuration: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError, mc.LogFailureError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -10,8 +10,8 @@ points are those of a single draw of the whole batch, and memory no longer
 grows with the batch size.  The sl(2) paths are closed-form and vectorized: the
 tube volumes of the key lemma are sampled in the sheared plane that encloses
 the tube, not in its bounding box, and conjugation acts on coordinates
-through the 3x3 matrix of Ad, with exp and log as the two coefficients of
-e^X = c0 I + c1 X.
+through the 3x3 matrix of Ad: log(s^-1 e^x s) = Ad_{s^-1} x wherever exp is
+injective, so no matrix exp or log is formed.
 """
 
 from __future__ import annotations
@@ -134,42 +134,6 @@ def _sl2_det(x: np.ndarray) -> np.ndarray:
     return -(x[:, 0] ** 2) - x[:, 1] * x[:, 2]
 
 
-def _sl2_exp_coeffs(mu2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(c0, c1) with exp(X) = c0 I + c1 X for traceless 2x2 X, where
-    X^2 = mu2 I (mu2 = -det X)."""
-    pos = mu2 > 1e-12
-    neg = mu2 < -1e-12
-    w = np.sqrt(np.abs(mu2))
-    c0 = 1.0 + mu2 / 2.0  # |mu2| <= 1e-12
-    c1 = 1.0 + mu2 / 6.0
-    np.cosh(w, out=c0, where=pos)
-    np.sinh(w, out=c1, where=pos)
-    np.cos(w, out=c0, where=neg)
-    np.sin(w, out=c1, where=neg)
-    np.divide(c1, w, out=c1, where=pos | neg)
-    return c0, c1
-
-
-def _sl2_log_factor(alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Principal log of det-1 2x2 matrices z = alpha I + B, B traceless:
-    log z = f(alpha) B.  Returns (f, ok mask).
-
-    f = arccosh(alpha)/sqrt(alpha^2-1) (alpha > 1), arccos(alpha)/sqrt(1-alpha^2)
-    (|alpha| < 1), 1 at alpha = 1.  alpha <= -1 has no principal log (ok False).
-    """
-    ok = alpha > -1.0 + 1e-12
-    hi = alpha > 1.0 + 1e-12
-    lo = ok & (alpha < 1.0 - 1e-12)
-    f = np.ones_like(alpha)
-    np.arccosh(alpha, out=f, where=hi)
-    np.arccos(alpha, out=f, where=lo)
-    # |alpha^2 - 1| is 1 - alpha^2 on lo: rounding is symmetric under negation
-    root = np.abs(np.square(alpha) - 1.0)
-    np.sqrt(root, out=root)
-    np.divide(f, root, out=f, where=hi | lo)
-    return f, ok
-
-
 def _sl2_conjugation(s: np.ndarray) -> np.ndarray:
     """The 3x3 matrix of x -> s^{-1} x s = Ad_{s^{-1}} x on sl(2) coordinates."""
     s_inv = np.linalg.inv(s)
@@ -231,10 +195,6 @@ class Neighborhood:
         return (min_orbit2 < eps ** 2) & (_sl2_frob2(x) < radius ** 2)
 
 
-class LogFailureError(RuntimeError):
-    """More than 1% of the conjugated samples failed the matrix-log roundtrip."""
-
-
 def delta_mc(
     model: LieModel, F: list[GroupMatrix], W: Neighborhood, cfg: McConfig
 ) -> McEstimate:
@@ -243,71 +203,48 @@ def delta_mc(
     Ratio-of-integrals estimator with shared samples and the exponential-
     coordinates Haar density as importance weight:
 
-        delta = int_W 1[for all s: log(s^{-1} e^x s) in W] nu(x) dx / int_W nu(x) dx.
+        delta = int_W 1[for all s: Ad_{s^{-1}} x in W] nu(x) dx / int_W nu(x) dx.
 
     Points are drawn uniformly from W's bounding box and kept inside W.  The
-    conjugates act on coordinates: e^x = c0 I + c1 x, so s^{-1} e^x s is
-    c0 I + c1 Ad_{s^{-1}} x, whose principal log is f(c0) c1 Ad_{s^{-1}} x
-    with one factor f(c0) for every conjugator.  Each log is validated by its
-    exp-log roundtrip residual
-
-        sqrt(2 (c0' - c0)^2 + (c1' f c1 - c1)^2 |Ad_{s^{-1}} x|_F^2) <= 1e-8,
-
-    with (c0', c1') the exp coefficients of the log; failing samples are
-    rejected and counted, and more than 1% failures aborts.  Note the
-    numerator intersects with W itself, i.e. this estimates the survival
-    fraction of V, a lower bound for the intersection over F alone (they agree
-    when the identity is in F).
+    indicator is that of log(s^{-1} e^x s) in W: s^{-1} e^x s = e^{Ad_{s^{-1}} x},
+    and the principal log of e^y is y when det y < pi^2, where an elliptic y
+    rotates by sqrt(det y) < pi (Higham, Functions of Matrices, 2008, ch. 11).
+    Conjugation keeps det, and sup det x over W is min(W.params)^2 / 2, so a W
+    with min(W.params) > pi sqrt2, where exp is not injective, is refused.
+    Note the numerator intersects with W itself, i.e. this estimates the
+    survival fraction of V, a lower bound for the intersection over F alone
+    (they agree when the identity is in F).
     """
     if model.name != "sl:2":
         raise NotImplementedError("vectorized sampler is sl:2 only")
     for s in F:
         if s.model.name != model.name:
             raise ValueError("conjugators live on a different model")
+    limit = math.pi * math.sqrt(2.0)
+    if min(W.params) > limit:
+        raise ValueError(f"{W.kind} parameter {min(W.params):g} exceeds pi sqrt2 = {limit:.6f}: "
+                         "exp is not injective on W, so the ratio is not delta of exp(W)")
     ads = [_sl2_conjugation(s.mat) for s in F]
     radii = W.box_radius()
     numer_parts: list[np.ndarray] = []
     denom_parts: list[np.ndarray] = []
     hits = 0
-    rejected = 0
     for b in range(cfg.samples // cfg.batch):
         blocks = _box_blocks(W.contains_sl2, radii, cfg, b)
         pts = np.concatenate([u[in_w] for u, in_w in blocks])
-        if pts.shape[0] == 0:
-            continue
         hits += pts.shape[0]
         weights = _sl2_density(pts)
-        good = np.ones(pts.shape[0], dtype=bool)
         surviving = np.ones(pts.shape[0], dtype=bool)
-        if ads:
-            c0, c1 = _sl2_exp_coeffs(-_sl2_det(pts))
-            f, ok = _sl2_log_factor(c0)
-            scale = f * c1
-            for ad in ads:
-                conj = ad @ pts.T  # Ad_{s^{-1}} x, one row per coordinate
-                y = scale * conj  # log(s^{-1} e^x s)
-                c0_back, c1_back = _sl2_exp_coeffs(y[0] ** 2 + y[1] * y[2])
-                residual = np.sqrt(
-                    2.0 * (c0_back - c0) ** 2
-                    + (c1_back * scale - c1) ** 2 * _sl2_frob2(conj.T)
-                )
-                ok_k = ok & (residual <= 1e-8)
-                good &= ok_k
-                surviving &= W.contains_sl2(y.T) & ok_k
-        rejected += int(np.count_nonzero(~good))
-        numer_parts.append(np.where(surviving & good, weights, 0.0))
-        denom_parts.append(np.where(good, weights, 0.0))
-    if hits and rejected > 0.01 * hits:
-        raise LogFailureError(
-            f"{rejected} of {hits} in-neighbourhood samples failed the log roundtrip"
-        )
-    if not denom_parts:
+        for ad in ads:
+            surviving &= W.contains_sl2((ad @ pts.T).T)
+        numer_parts.append(np.where(surviving, weights, 0.0))
+        denom_parts.append(weights)
+    if hits == 0:
         return McEstimate(0.0, 1.0, cfg.samples, cfg.seed, 0)
     a = np.concatenate(numer_parts)
     bw = np.concatenate(denom_parts)
+    # nu = (sin w / w)^2 > 0 for w = sqrt(det x) < pi, so den > 0
     den = float(bw.sum())
-    if den == 0.0:
-        return McEstimate(0.0, 1.0, cfg.samples, cfg.seed, 0)
     ratio = float(a.sum()) / den
     # delta-method stderr for the shared-sample ratio estimator
     stderr = math.sqrt(float(np.sum((a - ratio * bw) ** 2))) / den
@@ -454,9 +391,10 @@ def delta_lower_bound_check(
 def delta_bound_verdict(est: McEstimate, rho: float) -> tuple[float, bool]:
     """The adjoint-ball lower bound rho^{-d/2} (d/2 = 1 on sl:2) on the
     survival fraction of a tube, and whether the estimate is consistent with
-    it: mean >= rho^{-1} - 3 stderr."""
+    it: mean >= rho^{-1} - 3 stderr.  An estimate with no sample inside the
+    tube fails: its 0 +- 1 says nothing about the fraction."""
     bound = rho ** (-1.0)
-    return bound, est.mean >= bound - 3.0 * est.stderr
+    return bound, est.hits > 0 and est.mean >= bound - 3.0 * est.stderr
 
 
 # ---------------------------------------------------------------------------

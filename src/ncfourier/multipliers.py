@@ -81,11 +81,16 @@ class Symbol:
         n, N = self.arity, self.parent.order
         if n < 1:
             raise ValueError("arity must be >= 1")
-        if N ** n > MAX_TABLE:
-            raise ValueError(f"symbol table size {N}^{n} exceeds {MAX_TABLE}")
+        _require_table(N, n)
         self.values = np.asarray(self.values, dtype=complex).reshape((N,) * n)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("symbol values must be finite")
+
+
+def _require_table(N: int, n: int, where: str = "") -> None:
+    """Refuse N^n > MAX_TABLE table entries, before anything that size is allocated."""
+    if N ** n > MAX_TABLE:
+        raise ValueError(f"{where}symbol table size {N}^{n} exceeds {MAX_TABLE}")
 
 
 def _cached(group: FiniteGroup, key: tuple, build) -> np.ndarray:
@@ -407,6 +412,7 @@ def consummate_symbol(m: Symbol, indices, n: int) -> Symbol:
         raise ValueError("consummation indices must be strictly increasing")
     group = m.parent
     N = group.order
+    _require_table(N, n)
     bounds = indices + [n + 1]
     slot_grids = []
     for j in range(k):
@@ -486,6 +492,7 @@ def nested_symbol(ms: list[Symbol]) -> Symbol:
     n, N = len(ms), group.order
     if any(not same_group(mj.parent, group) for mj in ms):
         raise GroupError("nested symbols must share one group")
+    _require_table(N, n)
     values = np.ones((N,) * n, dtype=complex)
     for j in range(1, n):  # factor m_j(s_j ... s_{n-1}), 1-based j <= n-1
         width = (n - 1) - (j - 1)
@@ -527,6 +534,7 @@ def symbol_from_spec(group: FiniteGroup, spec: str, arity: int = 1) -> Symbol:
     """
     kind, _, rest = spec.partition(":")
     N = group.order
+    _require_table(N, arity)
     if kind == "gaussian":
         sigma = float(rest)
         if not 0.0 < sigma < math.inf:
@@ -567,8 +575,7 @@ def symbol_from_csv(group: FiniteGroup, path: str) -> Symbol:
         arity = len(header) - 2
         if arity < 1 or header != [f"s{i + 1}" for i in range(arity)] + ["re", "im"]:
             raise ValueError(f"{path}:1: header must be s1,...,sn,re,im, got {','.join(header)!r}")
-        if N ** arity > MAX_TABLE:
-            raise ValueError(f"{path}:1: symbol table size {N}^{arity} exceeds {MAX_TABLE}")
+        _require_table(N, arity, f"{path}:1: ")
         values = np.zeros((N,) * arity, dtype=complex)
         for row in reader:
             where = f"{path}:{reader.line_num}"

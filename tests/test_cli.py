@@ -205,6 +205,16 @@ def test_delta_mc_tube_verdict_is_the_rho_bound(monkeypatch, capsys, mean, code,
     assert cli.mc.delta_bound_verdict(est, 2.0) == (0.5, code == 0)
 
 
+def test_delta_mc_fails_when_no_sample_falls_inside_the_tube(capsys):
+    # 2 |det x| < 10^-6 holds on too thin a slab for 10^4 box draws to hit
+    assert run(["delta-mc", "--model", "sl:2", "--rho", "2", "--F-count", "3",
+                "--W", "tube:0.001,0.5", "--samples", "10000", "--seed", "1"]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines()[1].endswith(",0")
+    assert out.endswith("[FAIL] conjugation-survival estimate: 0.000000 +- 1.000000: "
+                        "no sample fell inside W\n")
+
+
 def test_delta_mc_ball_reports_without_verdict(monkeypatch, capsys):
     monkeypatch.setattr(cli.mc, "delta_mc", lambda *args: McEstimate(0.01, 0.001, 10000, 11, 50))
     assert run(DELTA_MC_LIE + ["--W", "ball:0.5"]) == 0
@@ -253,7 +263,7 @@ def test_usage_errors():
     ["lattice-maps", "--group", "cyclic:64", "--stride", "8", "--trials", "-3"],
     ["restrict", "--embedding", "cyclic-in-cyclic:0,8", "--symbol", "random:1", "--p", "3"],
     ["delta-exact", "--group", "dihedral:6", "--F", "indices:6", "--V", "ball:-1"],
-    # e^x reaches cosh(21) on ball:30: over 1% of the log roundtrips fail
+    # exp is not injective on ball:30 (sup det x = 450 > pi^2)
     ["delta-mc", "--model", "sl:2", "--rho", "3", "--F-count", "2", "--W", "ball:30",
      "--samples", "100000", "--seed", "4"],
     # NaN fails every comparison, so it must be rejected, not slip past p < 1
@@ -270,6 +280,8 @@ def test_usage_errors():
     ["norm", "--group", "dihedral:3", "--symbol", "gaussian:nan", "--p", "3"],
     # ||ad_x|| = 6 > pi: the series route cannot check the eigenvalue product
     ["density", "--model", "sl:2", "--coords", "3,0,0"],
+    # 64^5 entries = 16 GiB of complex: refused before anything is allocated
+    ["identity-check", "--group", "cyclic:64", "--n", "5"],
 ], ids=" ".join)
 def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert run(argv) == 2
@@ -285,6 +297,8 @@ CAUSES = [
      "cyclic-in-cyclic needs two orders d,N, got '3'"),
     (["delta-mc", "--model", "heisenberg3"], "needs the sl:2 model, got heisenberg3"),
     (["density", "--model", "sl:2", "--coords", "3,0,0"], "||ad_x|| = 6.000 > pi"),
+    (["identity-check", "--group", "cyclic:64", "--n", "5"], "64^5 exceeds 16777216"),
+    (DELTA_MC_LIE + ["--W", "ball:5"], "ball parameter 5 exceeds pi sqrt2 = 4.442883"),
 ]
 
 

@@ -9,15 +9,13 @@ from ncfourier.groups import build_group
 from ncfourier.liealg import GroupMatrix, adjoint_norm, build_model
 from ncfourier.montecarlo import (
     CountSeries,
-    LogFailureError,
     McConfig,
     McEstimate,
     Neighborhood,
     _sl2_density,
     _sl2_det,
-    _sl2_exp_coeffs,
-    _sl2_log_factor,
     _tube_volume_mc,
+    delta_bound_verdict,
     delta_lower_bound_check,
     delta_mc,
     delta_mc_finite,
@@ -175,6 +173,16 @@ def test_delta_lower_bound_check_single_seed():
         delta_lower_bound_check(2.0, 3, [], 0.5, McConfig(10 ** 4, 3), rng)
 
 
+def test_delta_bound_fails_without_a_sample_inside_the_tube():
+    # tube:0.001,0.5 is too thin for 10^4 box draws: 0 +- 1 clears
+    # 1/rho - 3 stderr, but it carries no information about delta
+    rng = np.random.default_rng([3, 17])
+    rep = delta_lower_bound_check(2.0, 3, [0.001], 0.5, McConfig(10 ** 4, 1), rng)
+    assert rep["rows"][0]["hits"] == 0 and rep["final_estimate"] == 0.0
+    assert not rep["pass"]
+    assert delta_bound_verdict(McEstimate(0.0, 1.0, 10 ** 4, 1, 0), 2.0) == (0.5, False)
+
+
 def test_sl2z_count_fixtures():
     assert sl2z_count(1.000001) == 4
     assert sl2z_count(2.0) == 4
@@ -271,18 +279,6 @@ def test_growth_fit_on_real_counts():
     assert growth_fit(CountSeries(radii, counts)).fitted_exponent == pytest.approx(1.0, abs=0.05)
 
 
-def test_sl2_log_rejects_branch_point():
-    # rotation by pi has half-trace -1: no principal log
-    _, ok = _sl2_log_factor(np.array([-1.0]))
-    assert not ok[0]
-    # a safe rotation roundtrips through the closed forms exactly
-    coords = np.array([0.0, 1.2, -1.2])
-    c0, c1 = _sl2_exp_coeffs(np.array([-(1.2 ** 2)]))
-    f, ok2 = _sl2_log_factor(c0)
-    assert ok2[0]
-    assert np.max(np.abs(f * c1 * coords - coords)) <= 1e-12
-
-
 def test_key_lemma_thick_tube_warns():
     with pytest.warns(UserWarning):
         key_lemma_ratio(0.2, 0.5, 2.0, McConfig(10 ** 4, 1, 10 ** 4))
@@ -357,6 +353,10 @@ def _matrix_log(z):
     return coords, ok
 
 
+class _LogRoundTripError(RuntimeError):
+    """More than 1% of the conjugated samples failed the matrix-log roundtrip."""
+
+
 def _matrix_delta_mc(model, F, W, cfg):
     """delta_mc through 2x2 matrices: conjugate e^x by each s, take the
     principal log and check the exp-log roundtrip.  Returns the estimate and
@@ -387,7 +387,7 @@ def _matrix_delta_mc(model, F, W, cfg):
         numer_parts.append(np.where(surviving & good, weights, 0.0))
         denom_parts.append(np.where(good, weights, 0.0))
     if hits and rejected > 0.01 * hits:
-        raise LogFailureError(f"{rejected} of {hits} samples failed the log roundtrip")
+        raise _LogRoundTripError(f"{rejected} of {hits} samples failed the log roundtrip")
     a = np.concatenate(numer_parts)
     bw = np.concatenate(denom_parts)
     den = float(bw.sum())
@@ -411,49 +411,58 @@ def test_delta_mc_matches_matrix_path_bit_for_bit(spec):
         assert delta_mc(model, F, W, cfg) == want
 
 
-def test_delta_mc_at_the_principal_log_branch_point():
-    # ball:5 holds elliptic x whose rotation angle is near pi, where the log
-    # is ill-conditioned and both paths reject samples; those carry the Haar
-    # weight (sin w / w)^2 ~ 0, so the estimates still agree
-    model = build_model("sl:2")
-    F = sample_adjoint_ball_sl2(model, 2.0, 3, np.random.default_rng(3))
-    cfg = McConfig(5 * 10 ** 5, 3, 5 * 10 ** 5)
-    W = Neighborhood.parse("ball:5")
-    want, rejected = _matrix_delta_mc(model, F, W, cfg)
-    assert rejected > 0
-    got = delta_mc(model, F, W, cfg)
-    assert got.hits == want.hits
-    assert got.mean == pytest.approx(want.mean, rel=1e-12)
-    assert got.stderr == pytest.approx(want.stderr, rel=1e-12)
-
-
-def test_delta_mc_aborts_on_log_failures():
-    # on ball:30, e^x reaches cosh(21): more than 1% of the roundtrips miss
-    # the absolute 1e-8 residual and both paths abort
+@pytest.mark.parametrize("spec", ["ball:5", "ball:30", "tube:4.5,6"])
+def test_delta_mc_refuses_where_exp_is_not_injective(spec):
+    # sup det x over W is min(W.params)^2 / 2: past pi sqrt2 it reaches pi^2,
+    # the rotation angle where the principal log of e^x stops being x.  On
+    # ball:5 the matrix path rejects samples near that angle, and on ball:30,
+    # where e^x reaches cosh(21), it aborts
     model = build_model("sl:2")
     F = sample_adjoint_ball_sl2(model, 2.0, 3, np.random.default_rng(3))
     cfg = McConfig(10 ** 5, 3, 10 ** 5)
-    W = Neighborhood.parse("ball:30")
-    with pytest.raises(LogFailureError):
-        _matrix_delta_mc(model, F, W, cfg)
-    with pytest.raises(LogFailureError):
+    W = Neighborhood.parse(spec)
+    if spec == "ball:5":
+        assert _matrix_delta_mc(model, F, W, cfg)[1] > 0
+    if spec == "ball:30":
+        with pytest.raises(_LogRoundTripError):
+            _matrix_delta_mc(model, F, W, cfg)
+    with pytest.raises(ValueError, match="exceeds pi sqrt2 = 4.442883"):
         delta_mc(model, F, W, cfg)
+    # at the bound itself det x < pi^2 still holds on all of W
+    edge = Neighborhood(W.kind, tuple(min(v, math.pi * math.sqrt(2.0)) for v in W.params))
+    assert delta_mc(model, F, edge, cfg).hits > 0
 
 
-def test_sl2_coefficients_match_gather_oracles():
-    # every branch: |mu2| <= 1e-12 (including both thresholds), mu2 above and
-    # below it, alpha <= -1, |alpha| < 1, alpha within 1e-12 of 1 and beyond
-    edges = np.array([0.0, 1e-13, -1e-13, 1e-12, -1e-12, 1.1e-12, -1.1e-12,
-                      -1.0, -1.0 - 1e-13, -1.0 + 1e-13, 1.0, 1.0 + 1e-13, 1.0 - 1e-13,
-                      -1.5, 0.25, -0.25, 1.5, 40.0, -40.0])
-    scalars = np.concatenate([edges, np.random.default_rng(0).uniform(-9.0, 9.0, 10 ** 4)])
-    c0, c1 = _sl2_exp_coeffs(scalars)
-    w0, w1 = _gather_exp_coeffs(scalars)
-    assert np.array_equal(c0, w0) and np.array_equal(c1, w1)
-    f, ok = _sl2_log_factor(scalars)
-    wf, wok = _gather_log_factor(scalars)
-    assert np.array_equal(f, wf) and np.array_equal(ok, wok)
-    assert not ok.all() and (ok & (np.abs(scalars) < 1.0)).any()
+def test_conjugated_exp_has_the_adjoint_as_its_principal_log():
+    # log(s^-1 e^x s) = Ad_{s^-1} x, the identity delta_mc rests on, checked
+    # with scipy's expm and logm on tube and ball points, and on two elliptic
+    # points of ball:4.25 at the rotation angle sqrt(det x) = 3.0 (the
+    # principal log's branch point is at pi)
+    linalg = pytest.importorskip("scipy.linalg")
+    model = build_model("sl:2")
+    F = sample_adjoint_ball_sl2(model, 4.0, 3, np.random.default_rng(5))
+    rng = np.random.default_rng(6)
+    b = math.sqrt(9.01)
+    for spec, extra in (("tube:0.1,0.5", []), ("ball:1", []),
+                        ("ball:4.25", [[0.0, 3.0, -3.0], [0.1, -b, b]])):
+        W = Neighborhood.parse(spec)
+        pts = rng.uniform(-W.box_radius(), W.box_radius(), (1000, 3))
+        pts = np.concatenate([pts[W.contains_sl2(pts)][:30], np.reshape(extra, (-1, 3))])
+        assert W.contains_sl2(pts).all()
+        for s in F:
+            ad = montecarlo._sl2_conjugation(s.mat)
+            s_inv = np.linalg.inv(s.mat)
+            for x, y in zip(pts, pts @ ad.T):
+                z = s_inv @ linalg.expm(_coords_to_matrix(x)) @ s.mat
+                want = _coords_to_matrix(y)
+                assert np.max(np.abs(linalg.logm(z) - want)) <= 1e-9 * max(1.0, np.abs(want).max())
+
+
+def _coords_to_matrix(x):
+    return np.array([[x[0], x[1]], [x[2], -x[0]]])
+
+
+def test_sl2_density_matches_gather_oracle():
     x_edges = [[0.0, 1.0, 0.0], [1e-7, 0.0, 0.0], [0.0, 1e-7, -1e-7], [0.0, 2.0, -2.0]]
     x = np.concatenate([x_edges, np.random.default_rng(1).uniform(-2.0, 2.0, (10 ** 4, 3))])
     assert np.array_equal(_sl2_density(x), _gather_density(x))

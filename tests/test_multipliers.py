@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from ncfourier.multipliers import (
     OptimizerConfig,
     Symbol,
     apply_multiplier,
+    consummate_symbol,
     estimate_norm,
     evaluate_ratio,
+    nested_symbol,
     pull_back,
     restrict_symbol,
     symbol_from_csv,
@@ -433,6 +436,25 @@ def test_symbol_csv_roundtrip(tmp_path):
     symbol_to_csv(m, str(path))
     back = symbol_from_csv(g, str(path))
     assert np.max(np.abs(back.values - m.values)) < 1e-15
+
+
+@pytest.mark.parametrize("build", [
+    lambda g: symbol_from_spec(g, "random:1", arity=5),
+    lambda g: symbol_from_spec(g, "gaussian:1.0", arity=5),
+    lambda g: consummate_symbol(symbol_from_spec(g, "random:1"), [1], 5),
+    lambda g: nested_symbol([symbol_from_spec(g, f"random:{j}") for j in range(5)]),
+], ids=["random", "gaussian", "consummate", "nested"])
+def test_oversize_tables_are_refused_before_allocation(build):
+    # a 64^5 table takes 16 GiB of complex (4 GiB as an int32 product grid)
+    g = build_group("cyclic:64")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"64\^5 exceeds 16777216"):
+            build(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_symbol_families():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ncfourier import restriction
 from ncfourier.groups import (
     AlgebraElement,
     build_embedding,
@@ -126,6 +127,26 @@ def test_contraction_z8_fixture_p2_equality():
     x = random_element(emb.sub, np.random.default_rng(6))
     rep = embedding_contraction_residual(emb, x, V, 2.0)
     assert rep.context["equality_gap"] <= 1e-12
+
+
+def test_contraction_fails_a_broken_p2_equality(monkeypatch):
+    # the embedded side scaled by 0.9 keeps max(0, lhs - rhs) at 0, so only
+    # the p = 2 equality can catch it
+    emb = build_embedding("cyclic-in-cyclic:2,8")
+    V = emb.amb.subset([7, 0, 1])
+    x = random_element(emb.sub, np.random.default_rng(6))
+    assert embedding_contraction_residual(emb, x, V, 2.0).passed
+    embedded_norm = restriction._embedded_norm
+
+    def shrunk(*args):
+        lhs, supp, sv = embedded_norm(*args)
+        return 0.9 * lhs, supp, sv
+
+    monkeypatch.setattr(restriction, "_embedded_norm", shrunk)
+    rep = embedding_contraction_residual(emb, x, V, 2.0)
+    assert rep.residual == 0.0 and rep.context["equality_gap"] > 0.01
+    assert not rep.passed
+    assert embedding_contraction_residual(emb, x, V, 3.0).passed
 
 
 def test_contraction_dihedral_fixture_p4():

@@ -8,8 +8,11 @@ clone`` of each commit).  For every workload of ``BENCHMARK.json`` the script
 runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` from the
 root of each tree, with T the ``run_seconds`` of ``BENCHMARK.json``, once per
 seed, alternating which tree runs first, and summarises every end-to-end
-metric as parent and change medians with inclusive quartiles.  Workload i
-uses the seeds first_seed + 100 i, ... .
+metric as parent and change medians with inclusive quartiles, next to the
+per-pair values of both sides.  Workload i uses the seeds
+first_seed + 100 i, ... .  A claim judged over several records pools their
+values: ``claim_result(w, metric, pool(metric, rows))`` with ``rows`` the
+records' ``workloads[w][metric["name"]]``.
 Nothing under ``perfbench/`` is changed; the runs write their own records
 under each tree's ``perfbench/out/``.
 """
@@ -56,6 +59,7 @@ def summarise(metric: dict, parent: list[float], change: list[float]) -> dict:
     return {
         "parent": p,
         "change": c,
+        "values": {"parent": parent, "change": change},
         "change_better_pairs": sum(sign * (b - a) > 0 for a, b in zip(parent, change)),
         "relative_change": rel,
         "within_bound": -sign * rel <= metric["bound"],
@@ -100,12 +104,17 @@ def machine(tree: str) -> dict:
     return info
 
 
-def claim_result(workload: str, metric: dict, row: dict, pairs: int) -> dict:
-    """The claimed ``metric`` of ``workload``, summarised over ``pairs``
-    pairs as ``row``, is met when the change reads better in at least 9
-    pairs of 10 and its median gain exceeds both ``MIN_GAIN`` and the
-    parent's interquartile distance."""
-    p = row["parent"]
+def pool(metric: dict, rows: list[dict]) -> dict:
+    """One ``summarise`` row of ``metric`` over every pair of ``rows``."""
+    return summarise(metric, *([v for row in rows for v in row["values"][side]]
+                               for side in ("parent", "change")))
+
+
+def claim_result(workload: str, metric: dict, row: dict) -> dict:
+    """The claimed ``metric`` of ``workload``, summarised as ``row``, is met
+    when the change reads better in at least 9 pairs of 10 and its median
+    gain exceeds both ``MIN_GAIN`` and the parent's interquartile distance."""
+    p, pairs = row["parent"], len(row["values"]["parent"])
     gain = row["relative_change"] * (1.0 if metric["better"] == "higher" else -1.0)
     return {
         "workload": workload, "metric": metric["name"], "min_median_gain": MIN_GAIN,
@@ -165,8 +174,7 @@ def main(argv=None) -> int:
     if args.claim:
         workload, name = args.claim.split(":")
         metric = next(m for m in bench["end_to_end"] if m["name"] == name)
-        claim = claim_result(workload, metric, workloads[workload][name],
-                             workloads[workload]["pairs"])
+        claim = claim_result(workload, metric, workloads[workload][name])
     record = {
         "change": args.note,
         "parent_commit": args.parent_commit,
