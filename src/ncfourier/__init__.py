@@ -29,7 +29,6 @@ from .liealg import (
     orbit_min_norm,
 )
 from .montecarlo import (
-    CountSeries,
     McConfig,
     McEstimate,
     Neighborhood,
@@ -38,6 +37,7 @@ from .montecarlo import (
     delta_mc_finite,
     growth_fit,
     key_lemma_ratio,
+    main_term_deviation,
     sl2z_count,
     volume_mc,
 )

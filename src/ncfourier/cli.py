@@ -22,7 +22,7 @@ import numpy as np
 
 from . import montecarlo as mc
 from .groups import build_embedding, build_group, parse_subset
-from .liealg import build_model, exp_density, max_nilpotent_dim
+from .liealg import _matrix_density, ad_operator, build_model, exp_density, max_nilpotent_dim
 from .multipliers import (
     OptimizerConfig,
     Symbol,
@@ -250,6 +250,7 @@ def cmd_delta_mc(args) -> int:
         _report_line("finite-group delta estimate", ok,
                      f"{est.mean:.6f} +- {est.stderr:.6f} vs exact {float(exact):.6f}")
         return 0 if ok else 1
+    _require_count("--F-count", args.F_count)
     model = build_model(args.model)
     rng = np.random.default_rng(args.seed)
     F = mc.sample_adjoint_ball_sl2(model, args.rho, args.F_count, rng)
@@ -316,32 +317,37 @@ def cmd_lattice_count(args) -> int:
     radii = [float(tok) for tok in args.radii.split(",")]
     counts = [mc.sl2z_count(rho) for rho in radii]
     rows = [[repr(r), c] for r, c in zip(radii, counts)]
-    series = mc.CountSeries(radii, counts)
+    deviation = mc.main_term_deviation(radii, counts)
+    ok = deviation <= 1.0
+    main_term = f"main term 6(rho + 1/rho - 2) within rho^(-1/3) at rho >= 20 ({deviation:.3f} of it)"
     if len(radii) >= 5:
-        series = mc.growth_fit(series)
-        rows.append(["fitted_exponent", repr(series.fitted_exponent)])
-        ok = 0.85 <= series.fitted_exponent <= 1.15
-        _report_line("lattice-point growth exponent", ok,
-                     f"{series.fitted_exponent:.4f} (target d/2 = 1, no log factor)")
+        exponent, _ = mc.growth_fit(radii, counts)
+        rows.append(["fitted_exponent", repr(exponent)])
+        ok &= 0.85 <= exponent <= 1.15
+        _report_line("lattice-point growth", ok,
+                     f"exponent {exponent:.4f} (target d/2 = 1, no log factor), {main_term}")
     else:
-        ok = True
-        _report_line("lattice-point counts", True, f"{counts}")
+        _report_line("lattice-point counts", ok, f"{counts}, {main_term}")
     _write_csv(args.out, ["rho", "count"], rows)
     return 0 if ok else 1
 
 
 def cmd_density(args) -> int:
     model = build_model(args.model)
-    coords = [float(tok) for tok in args.coords.split(",")]
-    x = model.vector(coords)
-    nu_eigen = exp_density(x, method="eigen")
-    nu_series = exp_density(x, series_terms=args.series_terms, method="series")
-    gap = abs(nu_eigen - nu_series)
-    _write_csv(args.out, ["model", "nu_eigen", "nu_series", "gap"],
-               [[args.model, repr(nu_eigen), repr(nu_series), repr(gap)]])
-    _report_line("exponential-coordinates Haar density", gap <= 1e-8,
-                 f"nu = {nu_eigen:.12g}, series/eigenvalue gap {gap:.2e}")
-    return 0 if gap <= 1e-8 else 1
+    x = model.vector([float(tok) for tok in args.coords.split(",")])
+    with np.errstate(over="ignore", invalid="ignore"):
+        nu_ad, nu_matrix = exp_density(x), _matrix_density(x)
+    if not math.isfinite(nu_ad + nu_matrix):
+        raise ValueError(f"nu(x) is not finite in double precision: {nu_ad:g} from ad_x, "
+                         f"{nu_matrix:g} from the eigenvalues of x")
+    gap = abs(nu_ad - nu_matrix)
+    # the eigenvalues of ad_x carry an error proportional to ||ad_x||
+    tol = 1e-10 * max(1.0, nu_ad) * max(1.0, float(np.linalg.norm(ad_operator(x), 2)))
+    _write_csv(args.out, ["model", "nu_ad", "nu_matrix", "gap"],
+               [[args.model, repr(nu_ad), repr(nu_matrix), repr(gap)]])
+    _report_line("exponential-coordinates Haar density", gap <= tol,
+                 f"nu = {nu_ad:.12g}, ad/matrix eigenvalue gap {gap:.2e} (tolerance {tol:.1e})")
+    return 0 if gap <= tol else 1
 
 
 def cmd_transference(args) -> int:
@@ -383,7 +389,7 @@ SUITES = {
     ],
     "scaling": [
         ("orbit-dim", "orbit-dim --model sl:2 --sweep 300 --seed 7"),
-        ("density", "density --model sl:2 --coords 1.0,0,0 --series-terms 24"),
+        ("density", "density --model sl:2 --coords 1.0,0,0"),
         ("key-lemma", "key-lemma --rho 2.0 --R 0.5 --eps 0.1,0.05,0.025 --samples {samples} "
                       "--seed 42 --batch 0"),
         ("lattice-count", "lattice-count --radii 100,250,500,1000,2500"),
@@ -527,7 +533,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", help="Haar density in exponential coordinates")
     p.add_argument("--model", required=True)
     p.add_argument("--coords", required=True, help="comma list of basis coordinates")
-    p.add_argument("--series-terms", type=int, default=24, dest="series_terms")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_density)
 

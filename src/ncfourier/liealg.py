@@ -12,7 +12,6 @@ require an sl model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,41 +275,31 @@ def max_nilpotent_dim(
     return d
 
 
-def exp_density(
-    x: AlgebraVector, series_terms: int = 24, method: str = "eigen"
-) -> float:
-    """Density of the pulled-back Haar measure in exponential coordinates.
-
-    nu(x) = |det Phi_x| with Phi_x = (Id - exp(-ad_x)) / ad_x.  The default
-    ``method="eigen"``, the product prod |(1 - e^{-mu_i}) / mu_i| over the
-    complex spectrum of ad_x, is exact; ``method="series"``, the truncated
-    power series Id - ad/2! + ad^2/3! - ..., is kept as an independent route
-    and raises ``ValueError`` when ||ad_x|| > pi, where the truncation
-    degrades: a fallback to the eigenvalue product would compare that
-    product with itself.
-    """
-    ad = ad_operator(x)
-    if method not in ("eigen", "series"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "series":
-        if series_terms < 8:
-            raise ValueError("series needs at least 8 terms")
-        norm_ad = float(np.linalg.norm(ad, 2))
-        if norm_ad > math.pi:
-            raise ValueError(f"||ad_x|| = {norm_ad:.3f} > pi: the truncated series is unreliable")
-        term = np.eye(x.model.dim)
-        phi = np.eye(x.model.dim)
-        for k in range(1, series_terms):
-            term = term @ (-ad) / (k + 1.0)
-            phi = phi + term
-        return abs(float(np.linalg.det(phi)))
-    mu = np.linalg.eigvals(ad)
-    factors = np.ones(len(mu), dtype=complex)
+def exp_density(x: AlgebraVector) -> float:
+    """Density of the pulled-back Haar measure in exponential coordinates,
+    nu(x) = |det((Id - exp(-ad_x)) / ad_x)| (Helgason, Differential Geometry,
+    Lie Groups, and Symmetric Spaces, 1978, Thm II.1.7): the product of
+    |(1 - e^{-mu}) / mu| over the complex spectrum of ad_x."""
+    mu = np.linalg.eigvals(ad_operator(x))
     big = np.abs(mu) > 1e-8
+    factors = 1.0 - mu / 2.0 + mu ** 2 / 6.0  # the series, where |mu| <= 1e-8
     factors[big] = -np.expm1(-mu[big]) / mu[big]
-    small = ~big
-    factors[small] = 1.0 - mu[small] / 2.0 + mu[small] ** 2 / 6.0
     return float(np.abs(np.prod(factors)))
+
+
+def _matrix_density(x: AlgebraVector) -> float:
+    """nu(x) from the eigenvalues lambda_i of the matrix of x, exactly:
+    prod_{i<j} |sinh(m_ij) / m_ij|^2 with m_ij = (lambda_i - lambda_j) / 2.
+
+    On sl(n) the spectrum of ad_x is {lambda_i - lambda_j : i != j} and n - 1
+    zeros, and the factors of mu and -mu multiply to (sinh(mu/2) / (mu/2))^2.
+    On heisenberg3 every eigenvalue is 0 and nu = 1.
+    """
+    lam = np.linalg.eigvals(x.matrix())
+    i, j = np.triu_indices(len(lam), 1)
+    m = (lam[i] - lam[j]) / 2.0
+    m = m[m != 0.0]  # sinh(m) / m -> 1
+    return float(np.prod(np.abs(np.sinh(m) / m) ** 2))
 
 
 # ---------------------------------------------------------------------------

@@ -26,14 +26,15 @@ from ncfourier.liealg import (
     build_model,
     exp_density,
     max_nilpotent_dim,
+    _matrix_density,
 )
 from ncfourier.montecarlo import (
-    CountSeries,
     McConfig,
     delta_lower_bound_check,
     delta_mc_finite,
     growth_fit,
     key_lemma_ratio,
+    main_term_deviation,
     sl2z_count,
 )
 from ncfourier.multipliers import (
@@ -127,9 +128,7 @@ def test_criterion_04_exp_density():
             x = model.vector(rng.standard_normal(model.dim))
             scale = 2.0 * rng.random() / max(np.linalg.norm(ad_operator(x), 2), 1e-9)
             x = model.vector(x.coords * scale)
-            worst_path = max(worst_path, abs(
-                exp_density(x, method="series") - exp_density(x, method="eigen")
-            ))
+            worst_path = max(worst_path, abs(_matrix_density(x) - exp_density(x)))
     ok &= worst_path <= 1e-8
     worst_conj = 0.0
     for model in (sl2, sl3):
@@ -361,20 +360,25 @@ def test_criterion_12_lattice_point_counting():
     radii = [100.0, 250.0, 500.0, 1000.0, 2500.0]
     counts = [sl2z_count(r) for r in radii]
     # The Haar volume of the SL(2,R) adjoint ball has no log factor (see
-    # growth_fit), so the exponent e of count ~ rho^e must be near d/2 = 1.
-    series = growth_fit(CountSeries(radii, counts))
+    # growth_fit), so the exponent e of count ~ rho^e must be near d/2 = 1,
+    # and each count must lie within rho^(-1/3) of the main term 6(rho + 1/rho - 2).
+    exponent, _ = growth_fit(radii, counts)
+    deviation = main_term_deviation(radii, counts)
     elapsed = time.time() - t0
-    ok = near_one == 4 and 0.85 <= series.fitted_exponent <= 1.15 and elapsed < 300.0
+    ok = (near_one == 4 and 0.85 <= exponent <= 1.15 and deviation <= 1.0
+          and elapsed < 300.0)
     report(12, "lattice point growth", ok,
-           f"count(1+) = {near_one}, exponent {series.fitted_exponent:.4f} "
-           f"(no log factor, band [0.85, 1.15]), {elapsed:.1f}s")
+           f"count(1+) = {near_one}, exponent {exponent:.4f} "
+           f"(no log factor, band [0.85, 1.15]), main-term deviation "
+           f"{deviation:.3f} of rho^(-1/3), {elapsed:.1f}s")
     assert near_one == 4
     assert elapsed < 300.0
-    assert 0.85 <= series.fitted_exponent <= 1.15, (
-        f"growth exponent {series.fitted_exponent:.4f} (no log factor) "
+    assert 0.85 <= exponent <= 1.15, (
+        f"growth exponent {exponent:.4f} (no log factor) "
         f"outside [0.85, 1.15]; exact counts {counts} at radii {radii} "
         f"(count/rho ~ {counts[-1] / radii[-1]:.2f})"
     )
+    assert deviation <= 1.0, f"exact counts {counts} at radii {radii} miss the main term"
 
 
 def test_criterion_13_schur_transference():

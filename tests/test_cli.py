@@ -176,6 +176,35 @@ def test_lattice_count_fit(tmp_path):
     assert 0.85 <= float(value) <= 1.15
 
 
+def test_lattice_count_fails_counts_off_the_main_term(monkeypatch, capsys):
+    # scaling every count by 1.3 leaves the fitted exponent where it was, but
+    # puts each count 28-32% off 6(rho + 1/rho - 2)
+    exact = cli.mc.sl2z_count
+    monkeypatch.setattr(cli.mc, "sl2z_count", lambda rho: round(1.3 * exact(rho)))
+    assert run(["lattice-count", "--radii", "100,250,500,1000,2500"]) == 1
+    assert capsys.readouterr().out.startswith("[FAIL] lattice-point growth: exponent 1.0067 ")
+
+
+def test_density_checks_beyond_the_series_domain(capsys):
+    # ||ad_x|| = 6 > pi, out of reach of a truncated series
+    assert run(["density", "--model", "sl:2", "--coords", "3,0,0"]) == 0
+    out = capsys.readouterr().out
+    assert "[pass] exponential-coordinates Haar density: nu = 11.1508686735," in out
+    assert abs(float(out.splitlines()[1].split(",")[1]) - (math.sinh(3.0) / 3.0) ** 2) <= 1e-13
+    # no overflow warning reaches stderr before the one error line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["density", "--model", "sl:2", "--coords", "400,0,0"]) == 2
+    assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+
+def test_density_fails_a_route_off_by_1e_minus_6(monkeypatch, capsys):
+    exact = cli._matrix_density
+    monkeypatch.setattr(cli, "_matrix_density", lambda x: exact(x) * (1.0 + 1e-6))
+    assert run(["density", "--model", "sl:2", "--coords", "1.0,0,0"]) == 1
+    assert "[FAIL] exponential-coordinates Haar density" in capsys.readouterr().out
+
+
 def test_lattice_count_fit_through_radius_one(tmp_path):
     # the law has no log factor, so no log(log rho) enters and rho = 1 fits
     # like any radius
@@ -278,8 +307,15 @@ def test_usage_errors():
     ["norm", "--group", "dihedral:3", "--symbol", "gaussian:0", "--p", "3"],
     ["norm", "--group", "dihedral:3", "--symbol", "gaussian:inf", "--p", "3"],
     ["norm", "--group", "dihedral:3", "--symbol", "gaussian:nan", "--p", "3"],
-    # ||ad_x|| = 6 > pi: the series route cannot check the eigenvalue product
-    ["density", "--model", "sl:2", "--coords", "3,0,0"],
+    # nu = (sinh 400 / 400)^2 overflows a double
+    ["density", "--model", "sl:2", "--coords", "400,0,0"],
+    # five radii with two distinct values are a two-point fit, one value none
+    ["lattice-count", "--radii", "100,100,100,250,250"],
+    ["lattice-count", "--radii", "100,100,100,100,100"],
+    ["lattice-count", "--radii", "nan"],
+    ["lattice-count", "--radii", "1e5"],
+    # with F empty every sample survives, and 1 passes against any bound
+    ["delta-mc", "--F-count", "0", "--samples", "10000"],
     # 64^5 entries = 16 GiB of complex: refused before anything is allocated
     ["identity-check", "--group", "cyclic:64", "--n", "5"],
 ], ids=" ".join)
@@ -296,7 +332,12 @@ CAUSES = [
     (["restrict", "--embedding", "cyclic-in-cyclic:3", "--symbol", "random:1", "--p", "3"],
      "cyclic-in-cyclic needs two orders d,N, got '3'"),
     (["delta-mc", "--model", "heisenberg3"], "needs the sl:2 model, got heisenberg3"),
-    (["density", "--model", "sl:2", "--coords", "3,0,0"], "||ad_x|| = 6.000 > pi"),
+    (["density", "--model", "sl:2", "--coords", "400,0,0"],
+     "nu(x) is not finite in double precision: inf from ad_x"),
+    (["lattice-count", "--radii", "100,100,100,250,250"],
+     "need at least five distinct radii for the fit, got 2"),
+    (["lattice-count", "--radii", "nan"], "radius nan is not a number <= 10^4"),
+    (["delta-mc", "--F-count", "0", "--samples", "10000"], "--F-count must be >= 1, got 0"),
     (["identity-check", "--group", "cyclic:64", "--n", "5"], "64^5 exceeds 16777216"),
     (DELTA_MC_LIE + ["--W", "ball:5"], "ball parameter 5 exceeds pi sqrt2 = 4.442883"),
 ]

@@ -17,6 +17,7 @@ from ncfourier.liealg import (
     nilpotent_orbit_dim,
     orbit_min_norm,
     random_special_orthogonal,
+    _matrix_density,
     _nilpotent_orbit_dims,
     _rotated_nilpotent_coords,
 )
@@ -277,6 +278,19 @@ def test_exp_density_fixtures(sl2):
         )
 
 
+def _series_density(x, terms=24):
+    """nu(x) = |det Phi_x| from the power series
+    Phi_x = Id - ad/2! + ad^2/3! - ..., truncated after ``terms`` terms; an
+    oracle where ||ad_x|| <= 2, whose next term is then below 2^24 / 25!."""
+    ad = ad_operator(x)
+    term = np.eye(x.model.dim)
+    phi = np.eye(x.model.dim)
+    for k in range(1, terms):
+        term = term @ (-ad) / (k + 1.0)
+        phi = phi + term
+    return abs(float(np.linalg.det(phi)))
+
+
 def test_exp_density_series_vs_eigen(sl2, sl3):
     rng = np.random.default_rng(7)
     for model in (sl2, sl3):
@@ -284,17 +298,30 @@ def test_exp_density_series_vs_eigen(sl2, sl3):
             x = model.vector(rng.standard_normal(model.dim))
             norm_ad = np.linalg.norm(ad_operator(x), 2)
             x = model.vector(x.coords * (2.0 * rng.random() / max(norm_ad, 1e-12)))
-            gap = abs(exp_density(x, method="series") - exp_density(x, method="eigen"))
-            assert gap <= 1e-8
+            series = _series_density(x)
+            assert abs(series - exp_density(x)) <= 1e-8
+            assert abs(series - _matrix_density(x)) <= 1e-8
 
 
-def test_exp_density_series_refuses_large_ad(sl2):
-    big = sl2.vector([3.0, 0, 0])  # ||ad|| = 6 > pi
-    with pytest.raises(ValueError, match="6.000 > pi"):
-        exp_density(big, method="series")
-    below = sl2.vector([1.5, 0, 0])  # ||ad|| = 3 < pi: the series still runs
-    assert exp_density(below, method="series") == pytest.approx(
-        exp_density(below, method="eigen"), abs=1e-8)
+@pytest.mark.parametrize("name", ["sl:2", "sl:3", "sl:4", "sl:5", "heisenberg3"])
+def test_matrix_density_matches_exp_density(name):
+    # the tolerance of the density command, on norms from 1e-4 to 200: far
+    # past ||ad_x|| <= pi, where a truncated series would serve, up to overflow
+    model = build_model(name)
+    rng = np.random.default_rng(21)
+    checked = 0
+    for _ in range(300):
+        coords = rng.standard_normal(model.dim)
+        x = model.vector(coords * 10.0 ** rng.uniform(-4.0, math.log10(200.0))
+                         / np.linalg.norm(coords))
+        with np.errstate(over="ignore", invalid="ignore"):
+            nu = exp_density(x)
+        if not math.isfinite(nu):
+            continue
+        tol = 1e-10 * max(1.0, nu) * max(1.0, np.linalg.norm(ad_operator(x), 2))
+        assert abs(nu - _matrix_density(x)) <= tol
+        checked += 1
+    assert checked >= 250
 
 
 def test_exp_density_conjugation_invariance(sl2, sl3):

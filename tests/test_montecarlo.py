@@ -6,9 +6,8 @@ import pytest
 
 from ncfourier import montecarlo
 from ncfourier.groups import build_group
-from ncfourier.liealg import GroupMatrix, adjoint_norm, build_model
+from ncfourier.liealg import GroupMatrix, _matrix_density, adjoint_norm, build_model
 from ncfourier.montecarlo import (
-    CountSeries,
     McConfig,
     McEstimate,
     Neighborhood,
@@ -21,6 +20,7 @@ from ncfourier.montecarlo import (
     delta_mc_finite,
     growth_fit,
     key_lemma_ratio,
+    main_term_deviation,
     sample_adjoint_ball_sl2,
     sl2z_count,
     volume_mc,
@@ -187,8 +187,9 @@ def test_sl2z_count_fixtures():
     assert sl2z_count(1.000001) == 4
     assert sl2z_count(2.0) == 4
     assert sl2z_count(0.5) == 0
-    with pytest.raises(ValueError):
-        sl2z_count(10 ** 5)
+    for rho in (10 ** 5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="is not a number <= 10"):
+            sl2z_count(rho)
 
 
 def test_sl2z_count_brute_force_oracle():
@@ -210,6 +211,30 @@ def test_sl2z_count_brute_force_oracle():
 
     for rho in (1.5, 3.0, 5.0, 9.0):
         assert sl2z_count(rho) == brute(rho)
+
+
+def _sl2z_norms(t_max):
+    """Sorted a^2 + b^2 + c^2 + d^2 <= t_max over every integer matrix of
+    determinant 1, by a full scan of the entries."""
+    r = math.isqrt(t_max)
+    a, b, c, d = np.meshgrid(*[np.arange(-r, r + 1)] * 4, indexing="ij")
+    norms = (a * a + b * b + c * c + d * d)[a * d - b * c == 1]
+    return np.sort(norms[norms <= t_max])
+
+
+def test_sl2z_count_matches_a_full_scan_on_a_dense_grid():
+    norms = _sl2z_norms(61)
+    for rho in np.linspace(1.0, 60.0, 1181):
+        want = np.searchsorted(norms, rho + 1.0 / rho + 1e-9, side="right")
+        assert sl2z_count(rho) == want, rho
+
+
+@pytest.mark.parametrize("k", range(3, 61))
+def test_sl2z_count_where_rho_plus_inverse_is_an_integer(k):
+    # rho + 1/rho = k exactly, so the matrices of squared norm k count
+    rho = (k + math.sqrt(k * k - 4)) / 2.0
+    assert abs(rho + 1.0 / rho - k) <= 1e-9
+    assert sl2z_count(rho) == np.searchsorted(_sl2z_norms(61), k, side="right")
 
 
 def test_sl2z_count_adjoint_norm_oracle():
@@ -251,20 +276,22 @@ def _ext_gcd_local(a, b):
 def test_growth_fit_synthetic():
     radii = [100.0, 250.0, 500.0, 1000.0, 2500.0]
     # an exact power law fits its exponent with no residual
-    quad = growth_fit(CountSeries(radii, [r ** 2 for r in radii]))
-    assert quad.fitted_exponent == pytest.approx(2.0, abs=1e-9)
-    assert quad.fit_residual <= 1e-9
+    exponent, residual = growth_fit(radii, [r ** 2 for r in radii])
+    assert exponent == pytest.approx(2.0, abs=1e-9)
+    assert residual <= 1e-9
     # criterion-12 control: the band [0.85, 1.15] accepts counts 6 rho and
     # rejects the wrong growth law 6 rho log rho
-    linear = growth_fit(CountSeries(radii, [6.0 * r for r in radii]))
-    assert 0.85 <= linear.fitted_exponent <= 1.15
-    with_log = growth_fit(CountSeries(radii, [6.0 * r * math.log(r) for r in radii]))
-    assert not 0.85 <= with_log.fitted_exponent <= 1.15
-    assert with_log.fit_residual > 1e-6
+    exponent, _ = growth_fit(radii, [6.0 * r for r in radii])
+    assert 0.85 <= exponent <= 1.15
+    exponent, residual = growth_fit(radii, [6.0 * r * math.log(r) for r in radii])
+    assert not 0.85 <= exponent <= 1.15
+    assert residual > 1e-6
     # no log(log rho) enters, so radii at and below 1 fit like any other
     through_one = [0.5, 1.0, 10.0, 100.0, 1000.0]
-    series = CountSeries(through_one, [6.0 * r for r in through_one])
-    assert growth_fit(series).fitted_exponent == pytest.approx(1.0)
+    assert growth_fit(through_one, [6.0 * r for r in through_one])[0] == pytest.approx(1.0)
+    # five radii with two distinct values are a two-point fit
+    with pytest.raises(ValueError, match="five distinct radii"):
+        growth_fit([100.0, 100.0, 100.0, 250.0, 250.0], [580, 580, 580, 1476, 1476])
 
 
 def test_growth_fit_on_real_counts():
@@ -276,7 +303,15 @@ def test_growth_fit_on_real_counts():
     assert all(a <= b for a, b in zip(counts, counts[1:]))
     for r, c in zip(radii, counts):
         assert 5.5 <= c / r <= 6.5
-    assert growth_fit(CountSeries(radii, counts)).fitted_exponent == pytest.approx(1.0, abs=0.05)
+    assert growth_fit(radii, counts)[0] == pytest.approx(1.0, abs=0.05)
+    # the counts lie -1.4% to +1.3% from 6(rho + 1/rho - 2); at rho = 2500,
+    # -1.33% is 0.18 of rho^(-1/3)
+    assert 0.1 <= main_term_deviation(radii, counts) <= 0.35
+    # counts scaled by 1.3 keep the exponent but miss the main term by 28-32%,
+    # several times rho^(-1/3)
+    assert main_term_deviation(radii, [1.3 * c for c in counts]) > 3.0
+    # radii below 20 are not checked
+    assert main_term_deviation([1.5, 19.9], [4, 1000]) == 0.0
 
 
 def test_key_lemma_thick_tube_warns():
@@ -466,6 +501,17 @@ def test_sl2_density_matches_gather_oracle():
     x_edges = [[0.0, 1.0, 0.0], [1e-7, 0.0, 0.0], [0.0, 1e-7, -1e-7], [0.0, 2.0, -2.0]]
     x = np.concatenate([x_edges, np.random.default_rng(1).uniform(-2.0, 2.0, (10 ** 4, 3))])
     assert np.array_equal(_sl2_density(x), _gather_density(x))
+
+
+def test_sl2_density_matches_matrix_density():
+    # the closed form (sinh mu / mu)^2 against prod |sinh m_ij / m_ij|^2 over
+    # the eigenvalue pairs of the matrix, on both sides of det x = pi^2
+    model = build_model("sl:2")
+    x_edges = [[0.0, 1.0, 0.0], [1e-7, 0.0, 0.0], [0.0, 1e-7, -1e-7], [0.0, 2.0, -2.0],
+               [0.0, math.pi, -math.pi], [3.0, 0.0, 0.0]]
+    x = np.concatenate([x_edges, np.random.default_rng(2).uniform(-4.0, 4.0, (10 ** 4, 3))])
+    want = np.array([_matrix_density(model.vector(p)) for p in x])
+    assert np.all(np.abs(_sl2_density(x) - want) <= 1e-13 * np.maximum(1.0, want))
 
 
 def _unblocked_volume_mc(oracle, dim, box_radius, cfg):
