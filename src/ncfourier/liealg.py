@@ -162,7 +162,15 @@ def _validate_model(model: LieModel) -> None:
 
 def ad_operator(x: AlgebraVector) -> np.ndarray:
     """Matrix of y -> [x, y] in the model basis."""
-    return np.einsum("i,ijk->kj", x.coords, x.model.bracket)
+    return _ad_stack(x.model, x.coords[None])[0]
+
+
+def _ad_stack(model: LieModel, coords: np.ndarray) -> np.ndarray:
+    """ad_x for each row x of a (S, dim) coordinate stack: entry (k, j) of
+    ad_x is sum_i x_i c_ijk, from one matmul against the flattened bracket."""
+    dim = model.dim
+    flat = coords @ model.bracket.reshape(dim, dim * dim)
+    return flat.reshape(-1, dim, dim).swapaxes(1, 2)
 
 
 def _adjoint_operator_matrix(g: GroupMatrix) -> np.ndarray:
@@ -214,8 +222,7 @@ def _nilpotent_orbit_dims(model: LieModel, coords: np.ndarray) -> np.ndarray:
     mats = (coords @ model._flat.T).reshape(-1, model.n, model.n)
     if not np.all(is_nilpotent_matrix(mats)):
         raise ValueError("element is not nilpotent")
-    ads = np.einsum("si,ijk->skj", coords, model.bracket)
-    sigma = np.linalg.svd(ads, compute_uv=False)
+    sigma = np.linalg.svd(_ad_stack(model, coords), compute_uv=False)
     top = sigma[:, :1]
     return np.where(top[:, 0] > 0.0, np.count_nonzero(sigma > 1e-8 * top, axis=1), 0)
 

@@ -269,6 +269,10 @@ def test_usage_errors():
 @pytest.mark.parametrize("argv", [
     ["delta-mc", "--W", "tube:0,0.5", "--samples", "10000"],
     ["delta-mc", "--W", "tube:-0.05,0.5", "--samples", "10000"],
+    # an empty parameter is refused, not dropped
+    ["delta-mc", "--W", "tube:0.05,,0.5", "--samples", "10000"],
+    ["delta-mc", "--W", "tube:0.05,0.5,", "--samples", "10000"],
+    ["delta-mc", "--W", "ball:,0.3", "--samples", "10000"],
     ["key-lemma", "--rho", "2", "--R", "0.5", "--eps", "0"],
     ["key-lemma", "--rho", "2", "--R", "0", "--eps", "0.1"],
     ["key-lemma", "--rho", "2", "--R", "0.5", "--eps", "-0.1"],
@@ -340,6 +344,12 @@ CAUSES = [
     (["delta-mc", "--F-count", "0", "--samples", "10000"], "--F-count must be >= 1, got 0"),
     (["identity-check", "--group", "cyclic:64", "--n", "5"], "64^5 exceeds 16777216"),
     (DELTA_MC_LIE + ["--W", "ball:5"], "ball parameter 5 exceeds pi sqrt2 = 4.442883"),
+    (["delta-mc", "--W", "tube:0.05,,0.5", "--samples", "10000"],
+     "bad neighbourhood spec 'tube:0.05,,0.5': empty or non-numeric parameter"),
+    (["delta-mc", "--W", "tube:0.05,0.5,", "--samples", "10000"],
+     "bad neighbourhood spec 'tube:0.05,0.5,': empty or non-numeric parameter"),
+    (["delta-mc", "--W", "ball:,0.3", "--samples", "10000"],
+     "bad neighbourhood spec 'ball:,0.3': empty or non-numeric parameter"),
 ]
 
 

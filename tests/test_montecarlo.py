@@ -535,7 +535,10 @@ def test_blocked_draws_match_one_uniform_call(monkeypatch, block, batch):
     monkeypatch.setattr(montecarlo, "_BLOCK", block)
     cfg = McConfig(batch * max(2, -(-10 ** 4 // batch)), 5, batch)
     disc = lambda p: np.sum(p ** 2, axis=1) <= 1.0
-    for dim, radius in ((2, [1.0, 0.5]), (3, 1.0)):
+    # a tube's box has unequal per-axis radii, so a wrong tiling order of the
+    # affine map moves points out of the unit ball here
+    box = Neighborhood("tube", (0.1, 1.5)).box_radius()
+    for dim, radius in ((2, [1.0, 0.5]), (3, 1.0), (3, box)):
         want = _unblocked_volume_mc(disc, dim, radius, cfg)
         assert 0 < want.hits < cfg.samples
         assert volume_mc(disc, dim, radius, cfg) == want
@@ -545,6 +548,51 @@ def test_blocked_draws_match_one_uniform_call(monkeypatch, block, batch):
     want, rejected = _matrix_delta_mc(model, F, W, cfg)
     assert rejected == 0 and want.hits > 0
     assert delta_mc(model, F, W, cfg) == want
+
+
+def _ulp_cloud(pts, steps=3):
+    """pts, and pts with one coordinate moved by 1..steps ulps either way."""
+    out = [pts]
+    for axis in range(pts.shape[1]):
+        for k in range(1, steps + 1):
+            for sign in (1.0, -1.0):
+                q = pts.copy()
+                q[:, axis] += sign * k * np.spacing(q[:, axis])
+                out.append(q)
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("spec", ["tube:0.1,0.5", "tube:0.05,0.5", "tube:0.025,0.5",
+                                  "ball:0.3", "ball:1"])
+def test_prefilter_keeps_exactly_the_rows_of_contains_sl2(spec):
+    # draws on and within a few ulps of |x|_F = R and of 2|det x| = eps^2:
+    # the near-cone prefilter must not decide a row that contains_sl2 decides
+    W = Neighborhood.parse(spec)
+    R = W.params[-1]
+    rng = np.random.default_rng(12)
+    d = rng.standard_normal((20000, 3))
+    d /= np.sqrt(montecarlo._sl2_frob2(d))[:, None]
+    parts = [R * d[:500]]
+    if W.kind == "tube":
+        eps = W.params[0]
+        # on the sphere |x|_F = R and well inside the cone condition
+        parts.append(R * d[2.0 * np.abs(_sl2_det(d)) * R * R < eps * eps / 2.0])
+        # on 2|det x| = eps^2: x1 = +-sqrt(+-eps^2 / 2 - x2 x3)
+        x23 = rng.uniform(-R / 2.0, R / 2.0, (2000, 2))
+        for side in (1.0, -1.0):
+            x1sq = side * eps * eps / 2.0 - x23[:, 0] * x23[:, 1]
+            ok = x1sq >= 0.0
+            for sign in (1.0, -1.0):
+                parts.append(np.column_stack([sign * np.sqrt(x1sq[ok]), x23[ok]]))
+    cloud = _ulp_cloud(np.concatenate(parts))
+    keep = W.contains_sl2(cloud)
+    on_sphere = np.abs(montecarlo._sl2_frob2(cloud) / (R * R) - 1.0) < 1e-14
+    assert np.any(on_sphere & keep) and np.any(on_sphere & ~keep)
+    if W.kind == "tube":
+        near = 2.0 * np.abs(_sl2_det(cloud)) / (eps * eps)
+        on_edge = np.abs(near - 1.0) < 1e-14
+        assert np.any(on_edge & keep) and np.any(on_edge & ~keep)
+    assert np.array_equal(W._rows_inside_sl2(cloud), cloud[keep])
 
 
 def test_volume_mc_memory_does_not_grow_with_the_batch():
