@@ -133,11 +133,10 @@ def build_model(name: str) -> LieModel:
     dim = len(basis)
     flat = np.stack([b.ravel() for b in basis], axis=1)  # (size^2, dim)
     pinv = np.linalg.pinv(flat)
-    bracket = np.zeros((dim, dim, dim))
-    for i in range(dim):
-        for j in range(dim):
-            comm = basis[i] @ basis[j] - basis[j] @ basis[i]
-            bracket[i, j] = pinv @ comm.ravel()
+    stack = np.stack(basis)
+    products = stack[:, None] @ stack[None]  # b_i b_j
+    comms = products - products.swapaxes(0, 1)
+    bracket = (comms.reshape(dim * dim, size * size) @ pinv.T).reshape(dim, dim, dim)
     q, _ = np.linalg.qr(flat)
     model = LieModel(
         name=name, n=size, dim=dim, basis=tuple(basis), bracket=bracket,
@@ -149,14 +148,13 @@ def build_model(name: str) -> LieModel:
 
 def _validate_model(model: LieModel) -> None:
     c = model.bracket
-    if np.max(np.abs(c + np.swapaxes(c, 0, 1))) > 1e-12:
+    if not np.max(np.abs(c + np.swapaxes(c, 0, 1))) <= 1e-12:  # a NaN or inf fails too
         raise AssertionError("bracket is not antisymmetric")
-    jac = (
-        np.einsum("ijm,mkl->ijkl", c, c)
-        + np.einsum("jkm,mil->ijkl", c, c)
-        + np.einsum("kim,mjl->ijkl", c, c)
-    )
-    if np.max(np.abs(jac)) > 1e-12:
+    # t[i, j, k, l] = sum_m c[i, j, m] c[m, k, l]; the Jacobi sum at i, in (j, k, l),
+    # is t[i, j, k, l] + t[j, k, i, l] + t[k, i, j, l], one i at a time to stay in cache
+    dim = model.dim
+    t = (c.reshape(-1, dim) @ c.reshape(dim, -1)).reshape((dim,) * 4)
+    if max(np.max(np.abs(t[i] + t[:, :, i] + t[:, i].swapaxes(0, 1))) for i in range(dim)) > 1e-12:
         raise AssertionError("Jacobi identity fails")
 
 

@@ -7,14 +7,13 @@ with the same seed, sample count and batch size (a different batch size
 draws different points).  Each batch is drawn and filtered in blocks of a few
 thousand rows that stay in cache; the blocks continue one stream, so the
 points are those of a single draw of the whole batch, and memory no longer
-grows with the batch size.  A block pays for little beyond its draw: the box
-map runs on the flattened block, and a tube keeps its rows through a cheap
-near-cone superset test before the full membership test.  The sl(2) paths
-are closed-form and vectorized: the tube volumes of the key lemma are sampled
-in the sheared plane that encloses the tube, not in its bounding box, and
-conjugation acts on coordinates through the 3x3 matrix of Ad:
-log(s^-1 e^x s) = Ad_{s^-1} x wherever exp is injective, so no matrix exp or
-log is formed.
+grows with the batch size.  The sl(2) paths are closed-form and vectorized,
+and sample in the Frobenius-orthonormal frame (y, a, b), where the nilpotent
+cone is y^2 + a^2 = b^2: the key lemma in the sheared plane that encloses a
+tube, the survival fraction in the cube that encloses W, after a cheap
+near-cone superset test on a tube.  Conjugation acts on coordinates through
+the 3x3 matrix of Ad: log(s^-1 e^x s) = Ad_{s^-1} x wherever exp is
+injective, so no matrix exp or log is formed.
 """
 
 from __future__ import annotations
@@ -122,7 +121,10 @@ def _box_blocks(radii: np.ndarray, cfg: McConfig, b: int):
 # sl(2) closed forms, vectorized over sample batches
 #
 # coordinates (x1, x2, x3) <-> [[x1, x2], [x3, -x1]];  |x|_F^2 = 2 x1^2 + x2^2
-# + x3^2, det = -x1^2 - x2 x3, orbit min norm = sqrt(2 |det|).
+# + x3^2, det = -x1^2 - x2 x3, orbit min norm = sqrt(2 |det|).  The frame
+# (y, a, b) = (sqrt2 x1, (x2 + x3)/sqrt2, (x2 - x3)/sqrt2) = _FRAME_TO_SL2^-1 x
+# has |x|_F^2 = y^2 + a^2 + b^2 and 2 det x = b^2 - y^2 - a^2.
+_FRAME_TO_SL2 = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, -1.0]]) / math.sqrt(2.0)
 
 
 def _sl2_frob2(x: np.ndarray) -> np.ndarray:
@@ -186,9 +188,12 @@ class Neighborhood:
             return Neighborhood("tube", params)
         raise ValueError(f"bad neighbourhood spec {spec!r}")
 
-    def box_radius(self) -> np.ndarray:
-        r = self.params[-1]
-        return np.array([r / math.sqrt(2.0), r, r])
+    def frame_half_width(self) -> float:
+        """Half-width h of the frame cube |y|, |a|, |b| <= h enclosing W: R for a
+        ball, sqrt((R^2 + eps^2)/2) for a tube, where 2 b^2, 2 (y^2 + a^2) < R^2 + eps^2."""
+        if self.kind == "ball":
+            return self.params[0]
+        return math.sqrt((self.params[0] ** 2 + self.params[1] ** 2) / 2.0)
 
     def contains_sl2(self, x: np.ndarray) -> np.ndarray:
         if self.kind == "ball":
@@ -197,15 +202,16 @@ class Neighborhood:
         min_orbit2 = 2.0 * np.abs(_sl2_det(x))
         return (min_orbit2 < eps ** 2) & (_sl2_frob2(x) < radius ** 2)
 
-    def _rows_inside_sl2(self, x: np.ndarray) -> np.ndarray:
-        """The rows of x that ``contains_sl2`` keeps, in order.  A tube first
-        keeps the rows with |x1^2 + x2 x3| < (eps^2 / 2)(1 + 1e-9), a superset
-        test of about five array passes to the full test's fifteen, and runs
-        ``contains_sl2`` on those rows alone: most box draws miss a thin tube."""
+    def _frame_rows_inside(self, u: np.ndarray) -> np.ndarray:
+        """The frame rows u that ``contains_sl2`` keeps, in order, in x.  A tube
+        first keeps the rows with |y^2 + a^2 - b^2| < eps^2 + 1e-9 (eps^2 + R^2),
+        a superset whose margin covers the rounding of both forms of det in
+        the cube, and maps and tests those alone: most draws miss a thin tube."""
         if self.kind == "tube":
-            near = x[:, 1] * x[:, 2]
-            near += x[:, 0] ** 2
-            x = x[np.flatnonzero(np.abs(near) < 0.5 * self.params[0] ** 2 * (1.0 + 1e-9))]
+            eps, radius = self.params
+            near = np.square(u) @ [1.0, 1.0, -1.0]  # y^2 + a^2 - b^2
+            u = u[np.flatnonzero(np.abs(near) < eps ** 2 + 1e-9 * (eps ** 2 + radius ** 2))]
+        x = u @ _FRAME_TO_SL2.T
         return x[np.flatnonzero(self.contains_sl2(x))]
 
 
@@ -219,15 +225,16 @@ def delta_mc(
 
         delta = int_W 1[for all s: Ad_{s^{-1}} x in W] nu(x) dx / int_W nu(x) dx.
 
-    Points are drawn uniformly from W's bounding box and kept inside W.  The
-    indicator is that of log(s^{-1} e^x s) in W: s^{-1} e^x s = e^{Ad_{s^{-1}} x},
-    and the principal log of e^y is y when det y < pi^2, where an elliptic y
-    rotates by sqrt(det y) < pi (Higham, Functions of Matrices, 2008, ch. 11).
-    Conjugation keeps det, and sup det x over W is min(W.params)^2 / 2, so a W
-    with min(W.params) > pi sqrt2, where exp is not injective, is refused.
-    Note the numerator intersects with W itself, i.e. this estimates the
-    survival fraction of V, a lower bound for the intersection over F alone
-    (they agree when the identity is in F).
+    Points are drawn uniformly from the frame cube that encloses W (for a
+    tube, 2.8 times smaller than the box of the Frobenius ball in x) and kept
+    inside W.  The indicator is that of log(s^{-1} e^x s) in W:
+    s^{-1} e^x s = e^{Ad_{s^{-1}} x}, and the principal log of e^y is y when
+    det y < pi^2, where an elliptic y rotates by sqrt(det y) < pi (Higham,
+    Functions of Matrices, 2008, ch. 11).  Conjugation keeps det, and sup det x
+    over W is min(W.params)^2 / 2, so a W with min(W.params) > pi sqrt2, where
+    exp is not injective, is refused.  The numerator intersects with W itself:
+    this estimates the survival fraction of V, a lower bound for the
+    intersection over F alone (they agree when the identity is in F).
     """
     if model.name != "sl:2":
         raise NotImplementedError("vectorized sampler is sl:2 only")
@@ -239,28 +246,27 @@ def delta_mc(
         raise ValueError(f"{W.kind} parameter {min(W.params):g} exceeds pi sqrt2 = {limit:.6f}: "
                          "exp is not injective on W, so the ratio is not delta of exp(W)")
     ads = [_sl2_conjugation(s.mat) for s in F]
-    radii = W.box_radius()
-    numer_parts: list[np.ndarray] = []
-    denom_parts: list[np.ndarray] = []
+    radii = np.full(3, W.frame_half_width())
+    # running sums of nu and nu^2 over the surviving rows and over the rest
+    sums = np.zeros(4)
     hits = 0
     for b in range(cfg.samples // cfg.batch):
-        pts = np.concatenate([W._rows_inside_sl2(u) for u in _box_blocks(radii, cfg, b)])
+        pts = np.concatenate([W._frame_rows_inside(u) for u in _box_blocks(radii, cfg, b)])
         hits += pts.shape[0]
-        weights = _sl2_density(pts)
         surviving = np.ones(pts.shape[0], dtype=bool)
         for ad in ads:
             surviving &= W.contains_sl2((ad @ pts.T).T)
-        numer_parts.append(np.where(surviving, weights, 0.0))
-        denom_parts.append(weights)
+        w = _sl2_density(pts)
+        kept, lost = w[surviving], w[~surviving]
+        sums += [kept.sum(), lost.sum(), np.square(kept).sum(), np.square(lost).sum()]
     if hits == 0:
         return McEstimate(0.0, 1.0, cfg.samples, cfg.seed, 0)
-    a = np.concatenate(numer_parts)
-    bw = np.concatenate(denom_parts)
-    # nu = (sin w / w)^2 > 0 for w = sqrt(det x) < pi, so den > 0
-    den = float(bw.sum())
-    ratio = float(a.sum()) / den
-    # delta-method stderr for the shared-sample ratio estimator
-    stderr = math.sqrt(float(np.sum((a - ratio * bw) ** 2))) / den
+    kept, lost, kept2, lost2 = (float(v) for v in sums)
+    den = kept + lost  # > 0: nu = (sin w / w)^2 > 0 for w = sqrt(det x) < pi
+    ratio = kept / den
+    # delta-method stderr of the shared-sample ratio estimator; the sum of
+    # (1[surviving] nu - ratio nu)^2 splits into two sums of positive terms
+    stderr = math.sqrt((1.0 - ratio) ** 2 * kept2 + ratio ** 2 * lost2) / den
     return McEstimate(ratio, stderr, cfg.samples, cfg.seed, hits)
 
 
@@ -314,12 +320,11 @@ def key_lemma_ratio(eps: float, R: float, rho: float, cfg: McConfig) -> tuple[Mc
 def _tube_volume_mc(eps: float, R: float, cfg: McConfig) -> McEstimate:
     """Hit-or-miss volume of the sl(2) tube {2|det x| < eps^2, |x|_F < R}.
 
-    In y = sqrt2 x1, a = (x2+x3)/sqrt2, b = (x2-x3)/sqrt2 the tube is
-    {|s - b^2| < eps^2, s + b^2 < R^2} with s = y^2 + a^2.  The angle of
-    (y, a) integrates out to pi (dy da = ds dtheta / 2) and dx = dy da db / sqrt2,
-    so the volume is pi/sqrt2 times the area of the (s, b) region.  The shear
-    u = s - b^2 has Jacobian 1 and maps that region to
-    {u + b^2 >= 0, u + 2 b^2 < R^2} inside the band
+    In the frame (y, a, b) the tube is {|s - b^2| < eps^2, s + b^2 < R^2} with
+    s = y^2 + a^2.  The angle of (y, a) integrates out to pi (dy da =
+    ds dtheta / 2) and dx = dy da db / sqrt2, so the volume is pi/sqrt2 times
+    the area of the (s, b) region.  The shear u = s - b^2 has Jacobian 1 and
+    maps that region to {u + b^2 >= 0, u + 2 b^2 < R^2} inside the band
     |b| <= sqrt((R^2 + eps^2)/2), |u| < eps^2, which is where points are drawn.
     """
     e2, r2 = eps * eps, R * R

@@ -235,9 +235,10 @@ def test_delta_mc_tube_verdict_is_the_rho_bound(monkeypatch, capsys, mean, code,
 
 
 def test_delta_mc_fails_when_no_sample_falls_inside_the_tube(capsys):
-    # 2 |det x| < 10^-6 holds on too thin a slab for 10^4 box draws to hit
+    # a cube draw lands in tube:eps,R with probability about pi eps^2 / R^2,
+    # so 10^4 draws expect 0.005 hits in tube:0.0002,0.5
     assert run(["delta-mc", "--model", "sl:2", "--rho", "2", "--F-count", "3",
-                "--W", "tube:0.001,0.5", "--samples", "10000", "--seed", "1"]) == 1
+                "--W", "tube:0.0002,0.5", "--samples", "10000", "--seed", "1"]) == 1
     out = capsys.readouterr().out
     assert out.splitlines()[1].endswith(",0")
     assert out.endswith("[FAIL] conjugation-survival estimate: 0.000000 +- 1.000000: "

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -62,6 +63,41 @@ def test_sl3_jacobi_validated(sl3):
         + np.einsum("kim,mjl->ijkl", c, c)
     )
     assert np.max(np.abs(jac)) <= 1e-12
+
+
+def _bracket_by_pairs(model):
+    """The structure constants from one commutator per basis pair."""
+    out = np.zeros((model.dim,) * 3)
+    for i, bi in enumerate(model.basis):
+        for j, bj in enumerate(model.basis):
+            out[i, j] = model._pinv @ (bi @ bj - bj @ bi).ravel()
+    return out
+
+
+@pytest.mark.parametrize("name", ["sl:2", "sl:3", "sl:4", "sl:5", "heisenberg3"])
+def test_bracket_matches_the_pair_loop(name):
+    model = build_model(name)
+    assert np.array_equal(model.bracket, _bracket_by_pairs(model))
+
+
+@pytest.mark.parametrize("name", ["sl:3", "sl:5", "heisenberg3"])
+def test_validate_model_rejects_a_broken_bracket(name):
+    model = build_model(name)
+    c = model.bracket.copy()
+    # an antisymmetric change that breaks Jacobi: [b_0, b_2] gains 1e-9 b_0
+    c[0, 2, 0] += 1e-9
+    c[2, 0, 0] -= 1e-9
+    with pytest.raises(AssertionError, match="Jacobi identity fails"):
+        liealg._validate_model(dataclasses.replace(model, bracket=c))
+    c[2, 0, 0] += 2e-9
+    with pytest.raises(AssertionError, match="not antisymmetric"):
+        liealg._validate_model(dataclasses.replace(model, bracket=c))
+    # a non-finite constant fails the antisymmetry test, and with it Jacobi
+    for bad in (np.nan, np.inf):
+        c = model.bracket.copy()
+        c[0, 2, 0] = bad
+        with pytest.raises(AssertionError, match="not antisymmetric"):
+            liealg._validate_model(dataclasses.replace(model, bracket=c))
 
 
 def test_unsupported_models():

@@ -174,10 +174,11 @@ def test_delta_lower_bound_check_single_seed():
 
 
 def test_delta_bound_fails_without_a_sample_inside_the_tube():
-    # tube:0.001,0.5 is too thin for 10^4 box draws: 0 +- 1 clears
+    # a cube draw lands in tube:eps,R with probability about pi eps^2 / R^2,
+    # so 10^4 draws expect 0.005 hits in tube:0.0002,0.5: 0 +- 1 clears
     # 1/rho - 3 stderr, but it carries no information about delta
     rng = np.random.default_rng([3, 17])
-    rep = delta_lower_bound_check(2.0, 3, [0.001], 0.5, McConfig(10 ** 4, 1), rng)
+    rep = delta_lower_bound_check(2.0, 3, [0.0002], 0.5, McConfig(10 ** 4, 1), rng)
     assert rep["rows"][0]["hits"] == 0 and rep["final_estimate"] == 0.0
     assert not rep["pass"]
     assert delta_bound_verdict(McEstimate(0.0, 1.0, 10 ** 4, 1, 0), 2.0) == (0.5, False)
@@ -394,16 +395,18 @@ class _LogRoundTripError(RuntimeError):
 
 def _matrix_delta_mc(model, F, W, cfg):
     """delta_mc through 2x2 matrices: conjugate e^x by each s, take the
-    principal log and check the exp-log roundtrip.  Returns the estimate and
-    the number of rejected samples."""
+    principal log and check the exp-log roundtrip.  Each batch is one
+    rng.uniform draw of the frame cube, mapped to x and filtered by
+    contains_sl2, with no prefilter.  Returns the estimate and the number of
+    rejected samples."""
     mats = np.stack([s.mat for s in F])
     inv_mats = np.stack([np.linalg.inv(s.mat) for s in F])
-    radii = W.box_radius()
-    numer_parts, denom_parts = [], []
+    h = W.frame_half_width()
+    kept = lost = kept2 = lost2 = 0.0
     hits = rejected = 0
     for b in range(cfg.samples // cfg.batch):
         rng = np.random.default_rng([cfg.seed, b])
-        pts = rng.uniform(-radii, radii, size=(cfg.batch, 3))
+        pts = rng.uniform(-h, h, size=(cfg.batch, 3)) @ montecarlo._FRAME_TO_SL2.T
         pts = pts[W.contains_sl2(pts)]
         if pts.shape[0] == 0:
             continue
@@ -419,15 +422,16 @@ def _matrix_delta_mc(model, F, W, cfg):
             good &= ok
             surviving &= W.contains_sl2(y) & ok
         rejected += int(np.count_nonzero(~good))
-        numer_parts.append(np.where(surviving & good, weights, 0.0))
-        denom_parts.append(np.where(good, weights, 0.0))
+        a, c = weights[surviving & good], weights[good & ~surviving]
+        kept += a.sum()
+        lost += c.sum()
+        kept2 += np.square(a).sum()
+        lost2 += np.square(c).sum()
     if hits and rejected > 0.01 * hits:
         raise _LogRoundTripError(f"{rejected} of {hits} samples failed the log roundtrip")
-    a = np.concatenate(numer_parts)
-    bw = np.concatenate(denom_parts)
-    den = float(bw.sum())
-    ratio = float(a.sum()) / den
-    stderr = math.sqrt(float(np.sum((a - ratio * bw) ** 2))) / den
+    den = kept + lost
+    ratio = kept / den
+    stderr = math.sqrt((1.0 - ratio) ** 2 * kept2 + ratio ** 2 * lost2) / den
     return McEstimate(ratio, stderr, cfg.samples, cfg.seed, hits), rejected
 
 
@@ -481,7 +485,8 @@ def test_conjugated_exp_has_the_adjoint_as_its_principal_log():
     for spec, extra in (("tube:0.1,0.5", []), ("ball:1", []),
                         ("ball:4.25", [[0.0, 3.0, -3.0], [0.1, -b, b]])):
         W = Neighborhood.parse(spec)
-        pts = rng.uniform(-W.box_radius(), W.box_radius(), (1000, 3))
+        h = W.frame_half_width()
+        pts = rng.uniform(-h, h, (1000, 3)) @ montecarlo._FRAME_TO_SL2.T
         pts = np.concatenate([pts[W.contains_sl2(pts)][:30], np.reshape(extra, (-1, 3))])
         assert W.contains_sl2(pts).all()
         for s in F:
@@ -535,10 +540,9 @@ def test_blocked_draws_match_one_uniform_call(monkeypatch, block, batch):
     monkeypatch.setattr(montecarlo, "_BLOCK", block)
     cfg = McConfig(batch * max(2, -(-10 ** 4 // batch)), 5, batch)
     disc = lambda p: np.sum(p ** 2, axis=1) <= 1.0
-    # a tube's box has unequal per-axis radii, so a wrong tiling order of the
-    # affine map moves points out of the unit ball here
-    box = Neighborhood("tube", (0.1, 1.5)).box_radius()
-    for dim, radius in ((2, [1.0, 0.5]), (3, 1.0), (3, box)):
+    # with unequal per-axis radii a wrong tiling order of the affine map
+    # moves points out of the unit ball
+    for dim, radius in ((2, [1.0, 0.5]), (3, 1.0), (3, [0.5, 1.5, 1.0])):
         want = _unblocked_volume_mc(disc, dim, radius, cfg)
         assert 0 < want.hits < cfg.samples
         assert volume_mc(disc, dim, radius, cfg) == want
@@ -565,34 +569,122 @@ def _ulp_cloud(pts, steps=3):
 @pytest.mark.parametrize("spec", ["tube:0.1,0.5", "tube:0.05,0.5", "tube:0.025,0.5",
                                   "ball:0.3", "ball:1"])
 def test_prefilter_keeps_exactly_the_rows_of_contains_sl2(spec):
-    # draws on and within a few ulps of |x|_F = R and of 2|det x| = eps^2:
-    # the near-cone prefilter must not decide a row that contains_sl2 decides
+    # frame points on and within a few ulps of |x|_F = R and of
+    # 2|det x| = eps^2: the near-cone prefilter must not decide a row that
+    # contains_sl2 decides on the mapped point
     W = Neighborhood.parse(spec)
     R = W.params[-1]
     rng = np.random.default_rng(12)
     d = rng.standard_normal((20000, 3))
-    d /= np.sqrt(montecarlo._sl2_frob2(d))[:, None]
+    d /= np.linalg.norm(d, axis=1)[:, None]
     parts = [R * d[:500]]
     if W.kind == "tube":
         eps = W.params[0]
+        cone = d[:, 0] ** 2 + d[:, 1] ** 2 - d[:, 2] ** 2
         # on the sphere |x|_F = R and well inside the cone condition
-        parts.append(R * d[2.0 * np.abs(_sl2_det(d)) * R * R < eps * eps / 2.0])
-        # on 2|det x| = eps^2: x1 = +-sqrt(+-eps^2 / 2 - x2 x3)
-        x23 = rng.uniform(-R / 2.0, R / 2.0, (2000, 2))
+        parts.append(R * d[np.abs(cone) * R * R < eps * eps / 2.0])
+        # on 2|det x| = b^2 - y^2 - a^2 = +-eps^2
+        ya = rng.uniform(-R / 2.0, R / 2.0, (2000, 2))
+        for side in (1.0, -1.0):
+            b2 = np.sum(ya ** 2, axis=1) + side * eps * eps
+            ok = b2 >= 0.0
+            for sign in (1.0, -1.0):
+                parts.append(np.column_stack([ya[ok], sign * np.sqrt(b2[ok])]))
+    cloud = _ulp_cloud(np.concatenate(parts))
+    x = cloud @ montecarlo._FRAME_TO_SL2.T
+    keep = W.contains_sl2(x)
+    on_sphere = np.abs(montecarlo._sl2_frob2(x) / (R * R) - 1.0) < 1e-14
+    assert np.any(on_sphere & keep) and np.any(on_sphere & ~keep)
+    if W.kind == "tube":
+        near = 2.0 * np.abs(_sl2_det(x)) / (eps * eps)
+        on_edge = np.abs(near - 1.0) < 1e-14
+        assert np.any(on_edge & keep) and np.any(on_edge & ~keep)
+    assert np.array_equal(W._frame_rows_inside(cloud), x[keep])
+
+
+def _frame(x):
+    """(y, a, b) = (sqrt2 x1, (x2 + x3)/sqrt2, (x2 - x3)/sqrt2), written out."""
+    r = math.sqrt(2.0)
+    return np.column_stack([r * x[:, 0], (x[:, 1] + x[:, 2]) / r, (x[:, 1] - x[:, 2]) / r])
+
+
+@pytest.mark.parametrize("spec", ["tube:0.1,0.5", "tube:0.025,0.5", "tube:1,0.5", "ball:1"])
+def test_frame_cube_encloses_the_neighbourhood(spec):
+    # boundary points of W in x coordinates, drawn without the frame: the
+    # sphere |x|_F = R inside the cone condition, the eps-shell
+    # 2|det x| = eps^2 inside the sphere, and the points where |b| and |y|
+    # reach h; each maps into the cube of half-width h
+    W = Neighborhood.parse(spec)
+    R, h = W.params[-1], W.frame_half_width()
+    rng = np.random.default_rng(21)
+    d = rng.standard_normal((20000, 3))
+    sphere = R * d / np.sqrt(montecarlo._sl2_frob2(d))[:, None]
+    if W.kind == "ball":
+        parts = [sphere]
+        extremes = np.array([[R, 0.0, 0.0], [0.0, R, -R]]) / math.sqrt(2.0)
+    else:
+        eps = W.params[0]
+        parts = [sphere[2.0 * np.abs(_sl2_det(sphere)) <= eps * eps]]
+        extremes = np.empty((0, 3))
+        x23 = rng.uniform(-R, R, (20000, 2))
         for side in (1.0, -1.0):
             x1sq = side * eps * eps / 2.0 - x23[:, 0] * x23[:, 1]
             ok = x1sq >= 0.0
-            for sign in (1.0, -1.0):
-                parts.append(np.column_stack([sign * np.sqrt(x1sq[ok]), x23[ok]]))
-    cloud = _ulp_cloud(np.concatenate(parts))
-    keep = W.contains_sl2(cloud)
-    on_sphere = np.abs(montecarlo._sl2_frob2(cloud) / (R * R) - 1.0) < 1e-14
-    assert np.any(on_sphere & keep) and np.any(on_sphere & ~keep)
-    if W.kind == "tube":
-        near = 2.0 * np.abs(_sl2_det(cloud)) / (eps * eps)
-        on_edge = np.abs(near - 1.0) < 1e-14
-        assert np.any(on_edge & keep) and np.any(on_edge & ~keep)
-    assert np.array_equal(W._rows_inside_sl2(cloud), cloud[keep])
+            shell = np.column_stack([np.sqrt(x1sq[ok]), x23[ok]])
+            parts.append(shell[montecarlo._sl2_frob2(shell) <= R * R])
+        # on the rim |x|_F = R, 2|det x| = eps^2: |b| = h where x2 = -x3 = h/sqrt2
+        # and x1 = (R^2 - eps^2)^(1/2) / 2; y = h where x1 = h/sqrt2 and
+        # x2 = -x3 = (R^2 - eps^2)^(1/2) / 2
+        if eps < R:
+            rim = math.sqrt(R * R - eps * eps)
+            extremes = np.array([[rim / 2.0, h / math.sqrt(2.0), -h / math.sqrt(2.0)],
+                                 [h / math.sqrt(2.0), rim / 2.0, -rim / 2.0]])
+            assert np.allclose(2.0 * np.abs(_sl2_det(extremes)), eps * eps, rtol=1e-12, atol=0.0)
+            assert np.allclose(montecarlo._sl2_frob2(extremes), R * R, rtol=1e-12, atol=0.0)
+    pts = np.concatenate(parts + [extremes])
+    assert len(pts) > 1000
+    u = _frame(pts)
+    assert np.max(np.abs(u)) <= h * (1.0 + 1e-12)
+    # the cube is tight: the extreme points reach its faces
+    assert np.allclose(np.max(np.abs(_frame(extremes)), axis=1), h, rtol=1e-12, atol=0.0)
+    # the frame map of delta_mc inverts the one written out here
+    assert np.allclose(u @ montecarlo._FRAME_TO_SL2.T, pts, rtol=0.0, atol=1e-15)
+
+
+def _xbox_delta_mc(F, W, cfg):
+    """delta_mc as it drew before the frame cube: uniform in the box
+    [-R/sqrt2, R/sqrt2] x [-R, R]^2 of the Frobenius ball in x coordinates,
+    with per-hit weight arrays over the whole run."""
+    R = W.params[-1]
+    radii = np.array([R / math.sqrt(2.0), R, R])
+    ads = [montecarlo._sl2_conjugation(s.mat) for s in F]
+    numer, denom = [], []
+    for b in range(cfg.samples // cfg.batch):
+        rng = np.random.default_rng([cfg.seed, b])
+        pts = rng.uniform(-radii, radii, size=(cfg.batch, 3))
+        pts = pts[W.contains_sl2(pts)]
+        weights = _gather_density(pts)
+        surviving = np.ones(len(pts), dtype=bool)
+        for ad in ads:
+            surviving &= W.contains_sl2(pts @ ad.T)
+        numer.append(np.where(surviving, weights, 0.0))
+        denom.append(weights)
+    a, w = np.concatenate(numer), np.concatenate(denom)
+    ratio = a.sum() / w.sum()
+    return ratio, math.sqrt(np.sum((a - ratio * w) ** 2)) / w.sum()
+
+
+@pytest.mark.parametrize("spec", ["tube:0.1,0.5", "tube:0.05,0.5", "tube:0.025,0.5", "ball:1"])
+def test_frame_cube_agrees_with_the_x_box(spec):
+    # the frame-cube draws and the old box of the Frobenius ball estimate the
+    # same fraction: a cube that cut into W would move the estimate
+    model = build_model("sl:2")
+    W = Neighborhood.parse(spec)
+    for seed in (0, 1):
+        F = sample_adjoint_ball_sl2(model, 2.0, 3, np.random.default_rng([seed, 23]))
+        est = delta_mc(model, F, W, McConfig(2 * 10 ** 6, seed, 5 * 10 ** 5))
+        mean, stderr = _xbox_delta_mc(F, W, McConfig(2 * 10 ** 6, seed + 100, 5 * 10 ** 5))
+        assert abs(est.mean - mean) <= 4.0 * math.hypot(est.stderr, stderr)
 
 
 def test_volume_mc_memory_does_not_grow_with_the_batch():

@@ -9,7 +9,9 @@ runs ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` from the
 root of each tree, with T the ``run_seconds`` of ``BENCHMARK.json``, once per
 seed, alternating which tree runs first, and summarises every end-to-end
 metric as parent and change medians with inclusive quartiles, next to the
-per-pair values of both sides.  Workload i uses the seeds
+per-pair values of both sides.  Each run's median seconds per check kind,
+read from the run's ``perfbench/out/<workload>-seed<S>-trace0.json``, goes
+into the record too, under ``kind_median_s``.  Workload i uses the seeds
 first_seed + 100 i, ... .  A claim judged over several records pools their
 values: ``claim_result(w, metric, pool(metric, rows))`` with ``rows`` the
 records' ``workloads[w][metric["name"]]``.
@@ -42,6 +44,26 @@ def run_bench(tree: str, workload: str, seed: int, seconds: float) -> dict:
          "--seconds", str(seconds), "--trace", "0"],
         cwd=tree, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def kind_medians(tree: str, workload: str, seed: int) -> dict:
+    """Median seconds per check kind of one run, from its per-check record."""
+    path = os.path.join(tree, "perfbench", "out", f"{workload}-seed{seed}-trace0.json")
+    with open(path) as fh:
+        checks = json.load(fh)["checks"]
+    return {kind: statistics.median(c["seconds"] for c in checks if c["kind"] == kind)
+            for kind in sorted({c["kind"] for c in checks})}
+
+
+def kind_summary(kinds: dict) -> dict:
+    """Per check kind: each side's per-run medians, the median of those and
+    the change's relative to the parent's."""
+    out = {}
+    for kind in kinds["parent"][0]:
+        values = {side: [run[kind] for run in kinds[side]] for side in ("parent", "change")}
+        p, c = (statistics.median(values[side]) for side in ("parent", "change"))
+        out[kind] = {"parent": p, "change": c, "relative_change": (c - p) / p, "values": values}
+    return out
 
 
 def quartiles(values: list[float]) -> dict:
@@ -149,12 +171,14 @@ def main(argv=None) -> int:
     for i, name in enumerate(names):
         seeds = [args.first_seed + 100 * i + k for k in range(args.pairs)]
         runs = {"parent": [], "change": []}
+        kinds = {"parent": [], "change": []}
         first = []
         for k, seed in enumerate(seeds):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             first.append(order[0])
             for side in order:
                 runs[side].append(run_bench(trees[side], name, seed, seconds))
+                kinds[side].append(kind_medians(trees[side], name, seed))
                 print(f"{name} seed {seed} {side}: "
                       f"{runs[side][-1]['metrics']['checks_per_s']['value']:.2f} checks/s",
                       file=sys.stderr, flush=True)
@@ -168,6 +192,7 @@ def main(argv=None) -> int:
             values = {side: [r["metrics"][metric["name"]]["value"] for r in runs[side]]
                       for side in runs}
             row[metric["name"]] = summarise(metric, values["parent"], values["change"])
+        row["kind_median_s"] = kind_summary(kinds)
         workloads[name] = row
 
     claim = None
