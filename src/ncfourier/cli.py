@@ -22,7 +22,9 @@ import numpy as np
 
 from . import montecarlo as mc
 from .groups import build_embedding, build_group, parse_subset
-from .liealg import _matrix_density, ad_operator, build_model, exp_density, max_nilpotent_dim
+from .liealg import (
+    _matrix_density, _partitions, ad_operator, build_model, exp_density, max_nilpotent_dim,
+)
 from .multipliers import (
     OptimizerConfig,
     Symbol,
@@ -306,7 +308,8 @@ def cmd_orbit_dim(args) -> int:
     n = model.n
     expected = n * (n - 1)
     _report_line("maximal nilpotent orbit dimension", d == expected,
-                 f"{args.model}: d = {d} (n(n-1) = {expected})")
+                 f"{args.model}: d = {d} (n(n-1) = {expected}); {len(_partitions(n))} "
+                 f"partitions and {args.sweep} rotated samples checked")
     if args.out:
         _write_json(args.out, {"model": args.model, "d": d,
                                "statement": "maximal nilpotent orbit dimension"})

@@ -429,41 +429,33 @@ def sl2z_count(rho: float) -> int:
     a d - b c = 1 are (c0, d0) + t (a, b) for one solution (c0, d0), and with
     s = a c0 + b d0 Lagrange's identity gives c^2 + d^2 = ((q t + s)^2 + 1)/q.
     So the row counts the t with |q t + s| <= r = floor(sqrt(q (K - q) - 1)):
-    floor((r - s)/q) + floor((r + s)/q) + 1 of them.  Every operand is an
-    integer below K^2/4 < 2^52, so the square root is exact in doubles.
+    floor((r - s)/q) + floor((r + s)/q) + 1 of them, which depends on s mod q
+    alone: a s = a^2 c0 + a b d0 = b (a d0 - b c0) = b (mod q), so
+    s = b a^{-1} (mod q), with a invertible as gcd(a, q) = gcd(a, b^2) = 1.
+    Every operand is an integer below K^2/4 < 2^52, so the square root is
+    exact in doubles.
+
+    Only the top rows with 0 <= b <= a are visited.  The maps
+    (a, b; c, d) -> (b, a; -d, -c) and -> (-b, a; -d, c) keep the determinant
+    and the norm and carry the matrices with top row (a, b) onto those with
+    top row (b, a), resp. (-b, a).  On top rows they generate the dihedral
+    group of order 8, so a row's count is constant on its orbit.  Each orbit
+    meets 0 <= b <= a once; among coprime rows, (1, 0) and (1, 1) have orbits
+    of 4 and every a > b > 0 one of 8.
     """
     if not rho <= 10 ** 4:
         raise ValueError(f"radius {rho} is not a number <= 10^4")
     if rho < 1.0:
         return 0
     k = math.floor(rho + 1.0 / rho + 1e-9)
-    bound = math.isqrt(k)
-    a, b = np.meshgrid(np.arange(-bound, bound + 1), np.arange(-bound, bound + 1), indexing="ij")
-    a, b = a.ravel(), b.ravel()
+    a, b = np.tril_indices(math.isqrt(k) + 1)  # 0 <= b <= a
     q = a * a + b * b
     keep = (q < k) & (np.gcd(a, b) == 1)  # a row with q = k has no bottom row
     a, b, q = a[keep], b[keep], q[keep]
-    g, u, v = _ext_gcd(a, b)
-    # (c0, d0) = sign(g) (-v, u) solves a d0 - b c0 = 1; s = a c0 + b d0
-    s = np.where(g < 0, -1, 1) * (b * u - a * v)
+    s = b * np.array([pow(x, -1, y) for x, y in zip(a.tolist(), q.tolist())], dtype=np.int64) % q
     r = np.floor(np.sqrt(q * (k - q) - 1)).astype(np.int64)
-    return int(((r - s) // q + (r + s) // q + 1).sum())
-
-
-def _ext_gcd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Elementwise g, u, v with a u + b v = g = +-gcd(a, b), by the Euclidean
-    recurrence with floor division."""
-    old_r, r = a.copy(), b.copy()
-    old_u, u = np.ones_like(a), np.zeros_like(a)
-    old_v, v = np.zeros_like(a), np.ones_like(a)
-    while np.any(r):
-        live = r != 0
-        q = np.zeros_like(a)
-        q[live] = old_r[live] // r[live]
-        old_r, r = np.where(live, r, old_r), np.where(live, old_r - q * r, r)
-        old_u, u = np.where(live, u, old_u), np.where(live, old_u - q * u, u)
-        old_v, v = np.where(live, v, old_v), np.where(live, old_v - q * v, v)
-    return old_r, old_u, old_v
+    orbit = np.where((b == 0) | (b == a), 4, 8)
+    return int((orbit * ((r - s) // q + (r + s) // q + 1)).sum())
 
 
 def growth_fit(radii: list[float], counts: list[int]) -> tuple[float, float]:

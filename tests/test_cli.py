@@ -2,9 +2,10 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
-from ncfourier import cli
+from ncfourier import cli, liealg
 from ncfourier.cli import main
 from ncfourier.montecarlo import McEstimate
 
@@ -156,14 +157,22 @@ def test_key_lemma_default_batch_divides_samples(tmp_path, monkeypatch):
     assert out.read_text().strip().split("\n")[1].startswith("0.1,0.5,2.0,")
 
 
-def test_orbit_dim_and_density_and_count(tmp_path):
+def test_orbit_dim_and_density_and_count(tmp_path, capsys):
     assert run(["orbit-dim", "--model", "sl:3", "--sweep", "50"]) == 0
+    assert capsys.readouterr().out == ("[pass] maximal nilpotent orbit dimension: sl:3: d = 6 "
+                                       "(n(n-1) = 6); 3 partitions and 50 rotated samples checked\n")
     assert run(["orbit-dim", "--model", "heisenberg3"]) == 0
     assert run(["density", "--model", "sl:2", "--coords", "1.0,0,0"]) == 0
     out = tmp_path / "counts.csv"
     assert run(["lattice-count", "--radii", "1.5,2,3", "--out", str(out)]) == 0
     rows = out.read_text().strip().split("\n")
     assert rows[1] == "1.5,4"
+
+
+def test_orbit_dim_fails_on_a_sweep_of_zeros(monkeypatch):
+    monkeypatch.setattr(liealg, "_special_orthogonal", lambda normals: np.zeros_like(normals))
+    with pytest.raises(AssertionError, match="sweep sample 0 of partition"):
+        run(["orbit-dim", "--model", "sl:3", "--sweep", "50"])
 
 
 def test_lattice_count_fit(tmp_path):

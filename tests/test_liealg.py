@@ -1,10 +1,12 @@
 import dataclasses
+import itertools
 import math
+import re
 import time
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
 from ncfourier import liealg
 from ncfourier.liealg import (
@@ -20,7 +22,6 @@ from ncfourier.liealg import (
     random_special_orthogonal,
     _matrix_density,
     _nilpotent_orbit_dims,
-    _rotated_nilpotent_coords,
 )
 from ncfourier.montecarlo import Neighborhood
 
@@ -202,12 +203,52 @@ def test_nilpotency_and_orbit_dims(sl2, sl3):
         nilpotent_orbit_dim(sl2.vector([1, 0, 0]))  # semisimple, not nilpotent
 
 
+def _partitions_by_scan(n):
+    """The partitions of n in reverse lexicographic order, by a scan of the
+    non-increasing tuples of every length."""
+    tuples = itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(n, 0, -1), k) for k in range(1, n + 1))
+    return sorted((t for t in tuples if sum(t) == n), reverse=True)
+
+
+def _jordan(parts):
+    """Block-diagonal nilpotent Jordan matrix, one block per part."""
+    return block_diag(*[np.eye(k, k, 1) for k in parts])
+
+
+def _formula_dim(parts):
+    """n^2 - sum_k (lambda^T_k)^2, lambda^T_k the number of parts >= k."""
+    n = sum(parts)
+    return n * n - sum(sum(1 for p in parts if p >= k) ** 2 for k in range(1, n + 1))
+
+
+def _rotated_jordan(model, rng, count):
+    """Sample i: J_lambda for the partition of index i mod p(n), conjugated by
+    the rotation of its own n^2 normals, one sample at a time."""
+    parts = _partitions_by_scan(model.n)
+    out = []
+    for i in range(count):
+        q = _one_rotation(rng.standard_normal((model.n, model.n)))
+        out.append((parts[i % len(parts)], q @ _jordan(parts[i % len(parts)]) @ q.T))
+    return out
+
+
+@pytest.mark.parametrize("n, dims", [
+    (2, [2, 0]), (3, [6, 4, 0]), (4, [12, 10, 8, 6, 0]), (5, [20, 18, 16, 14, 12, 8, 0])])
+def test_partition_orbit_dims_are_pinned(n, dims):
+    model = build_model(f"sl:{n}")
+    parts = _partitions_by_scan(n)
+    assert liealg._partitions(n) == parts
+    assert [_formula_dim(p) for p in parts] == dims
+    assert [nilpotent_orbit_dim(model.vector_from_matrix(_jordan(p))) for p in parts] == dims
+
+
 def test_orbit_dim_conjugation_invariant(sl3):
     rng = np.random.default_rng(5)
-    for coords in _rotated_nilpotent_coords(sl3, rng, 25):
-        x = sl3.vector(coords)
+    for parts, mat in _rotated_jordan(sl3, rng, 25):
+        x = sl3.vector_from_matrix(mat)
         d = nilpotent_orbit_dim(x)
-        assert d % 2 == 0
+        assert d == _formula_dim(parts) and d % 2 == 0
         p = rng.standard_normal((3, 3)) * 0.4
         p -= np.trace(p) / 3 * np.eye(3)
         g = expm(p)
@@ -225,33 +266,42 @@ def test_max_nilpotent_dims_and_runtime():
     assert max_nilpotent_dim(build_model("heisenberg3")) is None
 
 
-def _sequential_orbit_dims(model, rng, samples):
-    """The per-sample loop of the nilpotent sweep: one random nilpotent at a
-    time (a rotation from the QR factor of one Gaussian matrix), its
-    nilpotency test and the rank of ad_x."""
-    n = model.n
-    dims, coords = [], []
-    for _ in range(samples):
-        upper = np.triu(rng.standard_normal((n, n)), 1)
-        q = _one_rotation(rng.standard_normal((n, n)))
-        x = model.vector_from_matrix(q @ upper @ q.T)
-        coords.append(x.coords)
-        mat = x.matrix()
-        power = np.linalg.matrix_power(mat / np.linalg.norm(mat, "fro"), n)
-        assert np.linalg.norm(power, "fro") <= 1e-9
-        sigma = np.linalg.svd(ad_operator(x), compute_uv=False)
-        dims.append(int(np.sum(sigma > 1e-8 * sigma[0])))
-    return dims, np.array(coords)
+def _recording_reader(monkeypatch):
+    """Patch the sweep's power-rank reader to record each (mats, ranks) call."""
+    calls, real = [], liealg._power_ranks
+
+    def record(mats):
+        ranks = real(mats)
+        calls.append((mats.copy(), ranks.copy()))
+        return ranks
+
+    monkeypatch.setattr(liealg, "_power_ranks", record)
+    return calls
+
+
+def _sequential_power_ranks(mat):
+    """rank(x^k), k = 1 .. n - 1, one matrix and one power at a time."""
+    n = len(mat)
+    top = np.linalg.svd(mat, compute_uv=False)[0]
+    return [int(np.sum(np.linalg.svd(np.linalg.matrix_power(mat, k), compute_uv=False)
+                       > 1e-8 * top ** k)) for k in range(1, n)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_batched_sweep_matches_sequential_oracle(n):
+def test_batched_sweep_matches_sequential_oracle(n, monkeypatch):
     model = build_model(f"sl:{n}")
+    calls = _recording_reader(monkeypatch)
     for seed in (0, 1, 7):
-        want, want_coords = _sequential_orbit_dims(model, np.random.default_rng(seed), 300)
-        coords = _rotated_nilpotent_coords(model, np.random.default_rng(seed), 300)
-        assert np.abs(coords - want_coords).max() <= 1e-12 * np.abs(want_coords).max()
-        assert _nilpotent_orbit_dims(model, coords).tolist() == want
+        calls.clear()
+        assert max_nilpotent_dim(model, np.random.default_rng(seed), 300) == n * (n - 1)
+        mats = np.concatenate([m for m, _ in calls])
+        ranks = np.concatenate([r for _, r in calls])
+        for i, (parts, want) in enumerate(_rotated_jordan(model, np.random.default_rng(seed), 300)):
+            assert np.abs(mats[i] - want).max() <= 1e-12
+            assert ranks[i].tolist() == _sequential_power_ranks(want)
+            # the rank of ad_x on the same sample agrees with the partition
+            sigma = np.linalg.svd(ad_operator(model.vector_from_matrix(want)), compute_uv=False)
+            assert int(np.sum(sigma > 1e-8 * sigma[0])) == _formula_dim(parts)
 
 
 def _one_rotation(normals):
@@ -278,27 +328,91 @@ def test_special_orthogonal_stack_matches_one_at_a_time():
 
 
 def test_sweep_chunks_draw_one_stream(monkeypatch):
-    monkeypatch.setattr(liealg, "_SWEEP_CHUNK", 7)
+    # n^2 normals per sample, the samples of one chunk for any chunk size
     model = build_model("sl:3")
+    calls = _recording_reader(monkeypatch)
+    assert max_nilpotent_dim(model, np.random.default_rng(5), samples=20) == 6
+    whole = calls[0][0]
+    monkeypatch.setattr(liealg, "_SWEEP_CHUNK", 7)
+    calls.clear()
     swept, drawn = np.random.default_rng(5), np.random.default_rng(5)
     assert max_nilpotent_dim(model, swept, samples=20) == 6
-    drawn.standard_normal((20, 2, 3, 3))
+    assert [len(m) for m, _ in calls] == [7, 7, 6]
+    assert np.array_equal(np.concatenate([m for m, _ in calls]), whole)
+    drawn.standard_normal((20, 3, 3))
     assert swept.random() == drawn.random()
 
 
 def test_sweep_rejects_a_larger_orbit(monkeypatch):
-    # the first sampled orbit above the regular dimension is reported
-    real = liealg._nilpotent_orbit_dims
+    # from sample 3 on, the reader returns the regular ranks 2, 1: sample 3
+    # is regular and reads right, sample 4, of partition (2, 1), reads the
+    # regular orbit and is the one reported
+    real = liealg._power_ranks
 
-    def bumped(model, coords):
-        dims = real(model, coords)
-        if len(coords) > 1:
-            dims[3:] += np.arange(1, len(coords) - 2)
-        return dims
+    def bumped(mats):
+        ranks = real(mats)
+        ranks[3:] = [2, 1]
+        return ranks
 
-    monkeypatch.setattr(liealg, "_nilpotent_orbit_dims", bumped)
-    with pytest.raises(AssertionError, match="dimension 7 exceeds the regular value 6"):
+    monkeypatch.setattr(liealg, "_power_ranks", bumped)
+    with pytest.raises(AssertionError, match=r"sweep sample 4 of partition \(2, 1\): nilpotent "
+                       r"True, lambda\^T read as \[1, 1, 1\], orbit dimension 6 against 4"):
         max_nilpotent_dim(build_model("sl:3"), np.random.default_rng(0), samples=10)
+
+
+# planted faults: each one must make max_nilpotent_dim raise, and orbit-dim
+# with it
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sweep_of_zeros_fails(n, monkeypatch):
+    # every rotation 0, so every sweep sample is the zero matrix
+    monkeypatch.setattr(liealg, "_special_orthogonal", lambda normals: np.zeros_like(normals))
+    with pytest.raises(AssertionError, match=rf"sweep sample 0 of partition \({n},\): .* "
+                       rf"orbit dimension 0 against {n * (n - 1)}"):
+        max_nilpotent_dim(build_model(f"sl:{n}"), np.random.default_rng(0), samples=50)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_representative_with_a_bumped_ad_rank_fails(n, monkeypatch):
+    real = liealg._nilpotent_orbit_dims
+    model = build_model(f"sl:{n}")
+    for j, parts in enumerate(_partitions_by_scan(n)):
+        def bumped(m, coords, j=j):
+            dims = real(m, coords)
+            dims[j] += 2
+            return dims
+
+        monkeypatch.setattr(liealg, "_nilpotent_orbit_dims", bumped)
+        with pytest.raises(AssertionError, match=rf"partition {re.escape(str(parts))}: rank of ad "
+                           rf"{_formula_dim(parts) + 2}, formula {_formula_dim(parts)}"):
+            max_nilpotent_dim(model, np.random.default_rng(0), samples=50)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_power_rank_reader_off_by_one_on_one_sample_fails(n, monkeypatch):
+    # the second sample of each partition, each rank r_k = rank(J_lambda^k),
+    # one up and one down: every such reading fails, also the ones that keep
+    # the orbit dimension (r_1 of (2, 1) read as 2 gives lambda^T = (1, 2))
+    real = liealg._power_ranks
+    model = build_model(f"sl:{n}")
+    parts = _partitions_by_scan(n)
+    planted = 0
+    for i, k, step in itertools.product(range(len(parts)), range(1, n), (1, -1)):
+        if not 0 <= sum(max(p - k, 0) for p in parts[i]) + step <= n:
+            continue
+        sample = len(parts) + i
+
+        def off(mats, sample=sample, k=k, step=step):
+            ranks = real(mats)
+            ranks[sample, k - 1] += step
+            return ranks
+
+        monkeypatch.setattr(liealg, "_power_ranks", off)
+        with pytest.raises(AssertionError, match=rf"sweep sample {sample} of partition "):
+            max_nilpotent_dim(model, np.random.default_rng(0), samples=3 * len(parts))
+        planted += 1
+    assert planted == {2: 3, 3: 9, 4: 22, 5: 41}[n]
 
 
 def test_exp_density_fixtures(sl2):

@@ -733,6 +733,39 @@ def test_sl2z_count_matches_sequential_oracle(rho):
     assert sl2z_count(rho) == _sequential_sl2z_count(rho)
 
 
+def _all_rows_sl2z_count(rho):
+    """sl2z_count summed over every coprime top row (a, b), without the
+    order-8 symmetry: the vectorized formula with a Euclidean extended gcd."""
+    k = math.floor(rho + 1.0 / rho + 1e-9)
+    bound = math.isqrt(k)
+    a, b = np.meshgrid(np.arange(-bound, bound + 1), np.arange(-bound, bound + 1), indexing="ij")
+    a, b = a.ravel(), b.ravel()
+    q = a * a + b * b
+    keep = (q < k) & (np.gcd(a, b) == 1)
+    a, b, q = a[keep], b[keep], q[keep]
+    # elementwise a u + b v = g = +-gcd(a, b) by the recurrence with floor division
+    old_r, r = a.copy(), b.copy()
+    old_u, u = np.ones_like(a), np.zeros_like(a)
+    old_v, v = np.zeros_like(a), np.ones_like(a)
+    while np.any(r):
+        live = r != 0
+        quo = np.zeros_like(a)
+        quo[live] = old_r[live] // r[live]
+        old_r, r = np.where(live, r, old_r), np.where(live, old_r - quo * r, r)
+        old_u, u = np.where(live, u, old_u), np.where(live, old_u - quo * u, u)
+        old_v, v = np.where(live, v, old_v), np.where(live, old_v - quo * v, v)
+    # (c0, d0) = sign(g) (-v, u) solves a d0 - b c0 = 1; s = a c0 + b d0
+    s = np.where(old_r < 0, -1, 1) * (b * old_u - a * old_v)
+    r = np.floor(np.sqrt(q * (k - q) - 1)).astype(np.int64)
+    return int(((r - s) // q + (r + s) // q + 1).sum())
+
+
+def test_sl2z_count_matches_the_all_rows_formula():
+    radii = list(range(1, 501)) + np.random.default_rng(24).uniform(1.0, 1e4, 50).tolist()
+    for rho in radii:
+        assert sl2z_count(rho) == _all_rows_sl2z_count(rho), rho
+
+
 def _exact_tube_volume(eps, R):
     """Volume of {x in sl(2) : 2|det x| < eps^2, |x|_F < R}: pi/sqrt2 times the
     area of {(s, b) : s >= 0, |s - b^2| < eps^2, s + b^2 < R^2}.  For b >= 0
