@@ -300,7 +300,11 @@ def cmd_orbit_dim(args) -> int:
     _require_count("--sweep", args.sweep)
     model = build_model(args.model)
     rng = np.random.default_rng(args.seed)
-    d = max_nilpotent_dim(model, rng, samples=args.sweep)
+    try:
+        d = max_nilpotent_dim(model, rng, samples=args.sweep)
+    except AssertionError as exc:  # a representative or a sample off its orbit
+        _report_line("maximal nilpotent orbit dimension", False, str(exc))
+        return 1
     if d is None:
         print(f"{args.model}: not a reductive model; maximal nilpotent orbit "
               "dimension not applicable")

@@ -10,10 +10,10 @@ points are those of a single draw of the whole batch, and memory no longer
 grows with the batch size.  The sl(2) paths are closed-form and vectorized,
 and sample in the Frobenius-orthonormal frame (y, a, b), where the nilpotent
 cone is y^2 + a^2 = b^2: the key lemma in the sheared plane that encloses a
-tube, the survival fraction in the cube that encloses W, after a cheap
-near-cone superset test on a tube.  Conjugation acts on coordinates through
-the 3x3 matrix of Ad: log(s^-1 e^x s) = Ad_{s^-1} x wherever exp is
-injective, so no matrix exp or log is formed.
+tube, the survival fraction in the cube that encloses W (after a near-cone
+superset test on a tube), where each hit adds the exact Haar mass of its ray.
+Conjugation acts through the 3x3 matrix of Ad: log(s^-1 e^x s) = Ad_{s^-1} x
+wherever exp is injective, so no matrix exp or log is formed.
 """
 
 from __future__ import annotations
@@ -145,20 +145,19 @@ def _sl2_conjugation(s: np.ndarray) -> np.ndarray:
     return np.array(cols).T
 
 
-def _sl2_density(x: np.ndarray) -> np.ndarray:
-    """Haar density nu in exponential coordinates: (sinh mu / mu)^2 with
-    mu^2 = x1^2 + x2 x3 (trigonometric for negative mu^2)."""
-    mu2 = -_sl2_det(x)
-    pos = mu2 > 1e-12
-    neg = mu2 < -1e-12
-    big = pos | neg
-    w = np.sqrt(np.abs(mu2))
-    out = 1.0 + mu2 / 3.0  # |mu2| <= 1e-12
-    ratio = np.empty_like(mu2)
-    np.sinh(w, out=ratio, where=pos)
-    np.sin(w, out=ratio, where=neg)
-    np.divide(ratio, w, out=ratio, where=big)
-    np.square(ratio, out=out, where=big)
+_MASS_SERIES = [2.0 * 4.0 ** j / math.factorial(2 * j + 3) for j in range(7, -1, -1)]
+
+
+def _radial_mass(z: np.ndarray) -> np.ndarray:
+    """S(z) = M(r)/r^3 at z = mu^2 r^2, where M(r) = int_0^r nu(t theta) t^2 dt
+    = (sinh 2 mu r - 2 mu r)/(4 mu^3) is the Haar mass of [0, r) on a ray theta,
+    mu^2 = -det theta: 2 (sinh Z - Z)/Z^3 at Z = 2 sqrt z (2 (Z - sin Z)/Z^3 at
+    Z = 2 sqrt(-z) if z < 0) and, for |z| <= 1/8, where those cancel, the series
+    2 sum_j (4z)^j / (2j + 3)!, cut after j = 7 (2e-19 relative short)."""
+    out = np.polyval(_MASS_SERIES, z)
+    far = np.flatnonzero(np.abs(z) > 0.125)
+    w = 2.0 * np.sqrt(np.abs(z[far]))
+    out[far] = 2.0 * np.sign(z[far]) * (np.where(z[far] > 0.0, np.sinh(w), np.sin(w)) - w) / w ** 3
     return out
 
 
@@ -218,23 +217,28 @@ class Neighborhood:
 def delta_mc(
     model: LieModel, F: list[GroupMatrix], W: Neighborhood, cfg: McConfig
 ) -> McEstimate:
-    """Survival fraction of V = exp(W) under conjugation by every element of F.
-
-    Ratio-of-integrals estimator with shared samples and the exponential-
-    coordinates Haar density as importance weight:
-
-        delta = int_W 1[for all s: Ad_{s^{-1}} x in W] nu(x) dx / int_W nu(x) dx.
+    """Survival fraction of V = exp(W) under conjugation by every element of F,
+    int_W 1[for all s: Ad_{s^{-1}} x in W] nu(x) dx / int_W nu(x) dx, with nu the
+    Haar density in exponential coordinates.  s^{-1} e^x s = e^{Ad_{s^{-1}} x},
+    and the principal log of e^y is y when det y < pi^2, where an elliptic y
+    rotates by sqrt(det y) < pi (Higham, Functions of Matrices, 2008, ch. 11).
+    Conjugation keeps det, and sup det x over W is min(W.params)^2 / 2, so a W
+    with min(W.params) > pi sqrt2, where exp is not injective, is refused;
+    below it x survives s when |Ad_{s^{-1}} x|_F < R.  The numerator intersects
+    with W itself: this estimates the survival fraction of V, a lower bound
+    for the intersection over F alone.
 
     Points are drawn uniformly from the frame cube that encloses W (for a
-    tube, 2.8 times smaller than the box of the Frobenius ball in x) and kept
-    inside W.  The indicator is that of log(s^{-1} e^x s) in W:
-    s^{-1} e^x s = e^{Ad_{s^{-1}} x}, and the principal log of e^y is y when
-    det y < pi^2, where an elliptic y rotates by sqrt(det y) < pi (Higham,
-    Functions of Matrices, 2008, ch. 11).  Conjugation keeps det, and sup det x
-    over W is min(W.params)^2 / 2, so a W with min(W.params) > pi sqrt2, where
-    exp is not injective, is refused.  The numerator intersects with W itself:
-    this estimates the survival fraction of V, a lower bound for the
-    intersection over F alone (they agree when the identity is in F).
+    tube, 2.8 times smaller than the box of the Frobenius ball in x), and each
+    hit adds its ray's conditional mean (Rao-Blackwellization; Casella and
+    Robert, Biometrika 83, 1996).  On the ray t theta, |theta|_F = 1, W is
+    t < r_W, r_W^2 = min(R^2, eps^2 / (2 |det theta|)), and the survivors are
+    t < r_F, r_F^2 = min(r_W^2, min_s R^2 / |Ad_{s^{-1}} theta|_F^2).  Hits are
+    uniform on W and dx = t^2 dt dtheta, so theta has density r_W^3 / (3 vol W)
+    and t, given theta, 3 t^2 / r_W^3: E[1_S nu | theta] = 3 M(r_F) / r_W^3 (M of
+    ``_radial_mass``).  So a hit adds a = (r_F / r_W)^3 S(mu^2 r_F^2) over
+    b = S(mu^2 r_W^2); five running sums of b and b - a give the ratio and its
+    stderr sqrt(sum (a - delta b)^2) / sum b.  Each r is kept as t = (R |x| / r)^2.
     """
     if model.name != "sl:2":
         raise NotImplementedError("vectorized sampler is sl:2 only")
@@ -246,28 +250,30 @@ def delta_mc(
         raise ValueError(f"{W.kind} parameter {min(W.params):g} exceeds pi sqrt2 = {limit:.6f}: "
                          "exp is not injective on W, so the ratio is not delta of exp(W)")
     ads = [_sl2_conjugation(s.mat) for s in F]
+    det_scale = 2.0 * W.params[-1] ** 2 / W.params[0] ** 2 if W.kind == "tube" else 0.0
     radii = np.full(3, W.frame_half_width())
-    # running sums of nu and nu^2 over the surviving rows and over the rest
-    sums = np.zeros(4)
-    hits = 0
+    sums, hits = np.zeros(5), 0  # sums of b, lost, b^2, b lost, lost^2
     for b in range(cfg.samples // cfg.batch):
-        pts = np.concatenate([W._frame_rows_inside(u) for u in _box_blocks(radii, cfg, b)])
-        hits += pts.shape[0]
-        surviving = np.ones(pts.shape[0], dtype=bool)
-        for ad in ads:
-            surviving &= W.contains_sl2((ad @ pts.T).T)
-        w = _sl2_density(pts)
-        kept, lost = w[surviving], w[~surviving]
-        sums += [kept.sum(), lost.sum(), np.square(kept).sum(), np.square(lost).sum()]
+        x = np.concatenate([W._frame_rows_inside(u).T for u in _box_blocks(radii, cfg, b)], axis=1)
+        hits += x.shape[1]
+        sq = np.square(x)
+        det = -sq[0] - x[1] * x[2]
+        t_w = np.maximum(2.0 * sq[0] + sq[1] + sq[2], det_scale * np.abs(det))
+        t_f = t_w
+        for ad in ads:  # sq takes the squares of each conjugate in turn
+            np.square(np.matmul(ad, x, out=sq), out=sq)
+            t_f = np.maximum(t_f, 2.0 * sq[0] + sq[1] + sq[2])
+        del x, sq  # a lower peak: the mass terms need only (hits,) arrays
+        z = -W.params[-1] ** 2 * det  # mu^2 r^2 = z / t
+        mass_w = _radial_mass(z / t_w)
+        lost = mass_w - (t_w / t_f) ** 1.5 * _radial_mass(z / t_f)
+        sums += [mass_w.sum(), lost.sum(), mass_w @ mass_w, mass_w @ lost, lost @ lost]
     if hits == 0:
         return McEstimate(0.0, 1.0, cfg.samples, cfg.seed, 0)
-    kept, lost, kept2, lost2 = (float(v) for v in sums)
-    den = kept + lost  # > 0: nu = (sin w / w)^2 > 0 for w = sqrt(det x) < pi
-    ratio = kept / den
-    # delta-method stderr of the shared-sample ratio estimator; the sum of
-    # (1[surviving] nu - ratio nu)^2 splits into two sums of positive terms
-    stderr = math.sqrt((1.0 - ratio) ** 2 * kept2 + ratio ** 2 * lost2) / den
-    return McEstimate(ratio, stderr, cfg.samples, cfg.seed, hits)
+    den, lost, den2, cross, lost2 = (float(v) for v in sums)
+    share = lost / den  # 1 - delta, and sum (a - delta b)^2 = sum (lost - share b)^2
+    var = max(lost2 - 2.0 * share * cross + share * share * den2, 0.0)
+    return McEstimate(1.0 - share, math.sqrt(var) / den, cfg.samples, cfg.seed, hits)
 
 
 def delta_mc_finite(

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -169,10 +170,19 @@ def test_orbit_dim_and_density_and_count(tmp_path, capsys):
     assert rows[1] == "1.5,4"
 
 
-def test_orbit_dim_fails_on_a_sweep_of_zeros(monkeypatch):
+def test_orbit_dim_fails_on_a_sweep_of_zeros(monkeypatch, capsys):
     monkeypatch.setattr(liealg, "_special_orthogonal", lambda normals: np.zeros_like(normals))
-    with pytest.raises(AssertionError, match="sweep sample 0 of partition"):
-        run(["orbit-dim", "--model", "sl:3", "--sweep", "50"])
+    assert run(["orbit-dim", "--model", "sl:3", "--sweep", "50"]) == 1
+    assert capsys.readouterr().out.startswith(
+        "[FAIL] maximal nilpotent orbit dimension: sweep sample 0 of partition ")
+
+
+def test_suite_counts_a_failing_orbit_dim_sweep(monkeypatch, capsys):
+    monkeypatch.setattr(liealg, "_special_orthogonal", lambda normals: np.zeros_like(normals))
+    assert run(["suite", "scaling"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] maximal nilpotent orbit dimension: sweep sample 0 of partition " in out
+    assert re.search(r"^  orbit-dim +FAIL$", out, re.MULTILINE)
 
 
 def test_lattice_count_fit(tmp_path):

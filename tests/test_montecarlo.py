@@ -11,7 +11,7 @@ from ncfourier.montecarlo import (
     McConfig,
     McEstimate,
     Neighborhood,
-    _sl2_density,
+    _radial_mass,
     _sl2_det,
     _tube_volume_mc,
     delta_bound_verdict,
@@ -343,14 +343,33 @@ def _gather_exp_coeffs(mu2):
 
 
 def _gather_log_factor(alpha):
-    """The principal-log factor f(alpha) and its ok mask, on gathers."""
+    """The principal-log factor f(alpha) and its ok mask, on gathers.  The
+    root takes |1 - alpha^2| as |1 - alpha| (1 + alpha), which keeps f exact
+    to a few ulps where alpha is within 1e-10 of 1."""
     ok = alpha > -1.0 + 1e-12
     f = np.ones_like(alpha)
     hi = alpha > 1.0 + 1e-12
     lo = ok & (alpha < 1.0 - 1e-12)
-    f[hi] = np.arccosh(alpha[hi]) / np.sqrt(alpha[hi] ** 2 - 1.0)
-    f[lo] = np.arccos(alpha[lo]) / np.sqrt(1.0 - alpha[lo] ** 2)
+    f[hi] = np.arccosh(alpha[hi]) / np.sqrt((alpha[hi] - 1.0) * (alpha[hi] + 1.0))
+    f[lo] = np.arccos(alpha[lo]) / np.sqrt((1.0 - alpha[lo]) * (1.0 + alpha[lo]))
     return f, ok
+
+
+def _sl2_density(x):
+    """Haar density nu in exponential coordinates: (sinh mu / mu)^2 with
+    mu^2 = x1^2 + x2 x3 (trigonometric for negative mu^2)."""
+    mu2 = -_sl2_det(x)
+    pos = mu2 > 1e-12
+    neg = mu2 < -1e-12
+    big = pos | neg
+    w = np.sqrt(np.abs(mu2))
+    out = 1.0 + mu2 / 3.0  # |mu2| <= 1e-12
+    ratio = np.empty_like(mu2)
+    np.sinh(w, out=ratio, where=pos)
+    np.sin(w, out=ratio, where=neg)
+    np.divide(ratio, w, out=ratio, where=big)
+    np.square(ratio, out=out, where=big)
+    return out
 
 
 def _gather_density(x):
@@ -390,20 +409,64 @@ def _matrix_log(z):
 
 
 class _LogRoundTripError(RuntimeError):
-    """More than 1% of the conjugated samples failed the matrix-log roundtrip."""
+    """More than 1% of the checked points failed the matrix-log roundtrip."""
+
+
+def _rb_sums(x, F, W):
+    """delta_mc's five running sums over the hits x, one conjugator at a time,
+    and each hit's t_F: its survival radius is r_F = R |x| / sqrt(t_F)."""
+    R2 = W.params[-1] ** 2
+    x = x.T.copy()
+    sq = np.square(x)
+    det = -sq[0] - x[1] * x[2]
+    t_w = 2.0 * sq[0] + sq[1] + sq[2]
+    if W.kind == "tube":
+        t_w = np.maximum(t_w, 2.0 * R2 / W.params[0] ** 2 * np.abs(det))
+    t_f = t_w.copy()
+    for s in F:
+        y2 = np.square(montecarlo._sl2_conjugation(s.mat) @ x)
+        t_f = np.maximum(t_f, 2.0 * y2[0] + y2[1] + y2[2])
+    det *= -R2
+    b = _radial_mass(det / t_w)
+    lost = b - (t_w / t_f) ** 1.5 * _radial_mass(det / t_f)
+    return [b.sum(), lost.sum(), b @ b, b @ lost, lost @ lost], t_f
+
+
+def _matrix_radius_check(F, W, x, t_f):
+    """The survival radius of each hit x through 2x2 matrices: on its ray,
+    (1 - 1e-9) r_F must lie in W and survive every s, and (1 + 1e-9) r_F must
+    leave W or fail some s, where surviving s means that the principal log
+    of s^-1 e^x s lies in W.  Returns the hits whose exp-log roundtrip
+    failed and the hits found on the wrong side."""
+    mats = np.stack([s.mat for s in F])
+    inv_mats = np.stack([np.linalg.inv(s.mat) for s in F])
+    scale = W.params[-1] / np.sqrt(t_f)  # r_F / |x|
+    good = np.ones(len(x), dtype=bool)
+    survives = []
+    for side in (1.0 - 1e-9, 1.0 + 1e-9):
+        pts = x * (side * scale)[:, None]
+        surviving = W.contains_sl2(pts)
+        expx = _matrix_exp(pts)
+        for k in range(len(F)):
+            z = np.einsum("ab,nbc,cd->nad", inv_mats[k], expx, mats[k])
+            y, ok = _matrix_log(z)
+            ok &= np.linalg.norm(_matrix_exp(y) - z, axis=(1, 2)) <= 1e-8
+            good &= ok
+            surviving &= W.contains_sl2(y)
+        survives.append(surviving)
+    misplaced = good & ~(survives[0] & ~survives[1])
+    return int(np.count_nonzero(~good)), int(np.count_nonzero(misplaced))
 
 
 def _matrix_delta_mc(model, F, W, cfg):
-    """delta_mc through 2x2 matrices: conjugate e^x by each s, take the
-    principal log and check the exp-log roundtrip.  Each batch is one
-    rng.uniform draw of the frame cube, mapped to x and filtered by
-    contains_sl2, with no prefilter.  Returns the estimate and the number of
-    rejected samples."""
-    mats = np.stack([s.mat for s in F])
-    inv_mats = np.stack([np.linalg.inv(s.mat) for s in F])
+    """delta_mc with each batch drawn by one rng.uniform call of the frame
+    cube, mapped to x and filtered by contains_sl2 with no prefilter, and
+    every hit's survival radius checked through 2x2 matrices
+    (``_matrix_radius_check``).  Returns the estimate, the hits whose
+    roundtrip failed and the hits whose radius the matrices contradict."""
     h = W.frame_half_width()
-    kept = lost = kept2 = lost2 = 0.0
-    hits = rejected = 0
+    sums = np.zeros(5)
+    hits = rejected = misplaced = 0
     for b in range(cfg.samples // cfg.batch):
         rng = np.random.default_rng([cfg.seed, b])
         pts = rng.uniform(-h, h, size=(cfg.batch, 3)) @ montecarlo._FRAME_TO_SL2.T
@@ -411,28 +474,40 @@ def _matrix_delta_mc(model, F, W, cfg):
         if pts.shape[0] == 0:
             continue
         hits += pts.shape[0]
-        weights = _gather_density(pts)
-        good = np.ones(pts.shape[0], dtype=bool)
-        surviving = np.ones(pts.shape[0], dtype=bool)
-        expx = _matrix_exp(pts)
-        for k in range(len(F)):
-            z = np.einsum("ab,nbc,cd->nad", inv_mats[k], expx, mats[k])
-            y, ok = _matrix_log(z)
-            ok &= np.linalg.norm(_matrix_exp(y) - z, axis=(1, 2)) <= 1e-8
-            good &= ok
-            surviving &= W.contains_sl2(y) & ok
-        rejected += int(np.count_nonzero(~good))
-        a, c = weights[surviving & good], weights[good & ~surviving]
-        kept += a.sum()
-        lost += c.sum()
-        kept2 += np.square(a).sum()
-        lost2 += np.square(c).sum()
+        batch_sums, t_f = _rb_sums(pts, F, W)
+        sums += batch_sums
+        bad, wrong = _matrix_radius_check(F, W, pts, t_f)
+        rejected += bad
+        misplaced += wrong
     if hits and rejected > 0.01 * hits:
-        raise _LogRoundTripError(f"{rejected} of {hits} samples failed the log roundtrip")
-    den = kept + lost
-    ratio = kept / den
-    stderr = math.sqrt((1.0 - ratio) ** 2 * kept2 + ratio ** 2 * lost2) / den
-    return McEstimate(ratio, stderr, cfg.samples, cfg.seed, hits), rejected
+        raise _LogRoundTripError(f"{rejected} of {hits} hits failed the log roundtrip")
+    den, lost, den2, cross, lost2 = (float(v) for v in sums)
+    share = lost / den
+    var = max(lost2 - 2.0 * share * cross + share * share * den2, 0.0)
+    est = McEstimate(1.0 - share, math.sqrt(var) / den, cfg.samples, cfg.seed, hits)
+    return est, rejected, misplaced
+
+
+def _indicator_delta_mc(F, W, cfg):
+    """The survival fraction as delta_mc estimated it before it added each
+    ray's radial mass: on the same hits, the 0/1 survival of each weighted by
+    nu, with the delta-method stderr of sum 1_S nu / sum nu."""
+    radii = np.full(3, W.frame_half_width())
+    ads = [montecarlo._sl2_conjugation(s.mat) for s in F]
+    numer, denom = [], []
+    for b in range(cfg.samples // cfg.batch):
+        for u in montecarlo._box_blocks(radii, cfg, b):
+            pts = W._frame_rows_inside(u)
+            surviving = np.ones(len(pts), dtype=bool)
+            for ad in ads:
+                surviving &= W.contains_sl2(pts @ ad.T)
+            weights = _sl2_density(pts)
+            numer.append(np.where(surviving, weights, 0.0))
+            denom.append(weights)
+    a, w = np.concatenate(numer), np.concatenate(denom)
+    ratio = a.sum() / w.sum()
+    stderr = math.sqrt(np.sum((a - ratio * w) ** 2)) / w.sum()
+    return McEstimate(ratio, stderr, cfg.samples, cfg.seed, len(w))
 
 
 @pytest.mark.parametrize("spec", [
@@ -445,8 +520,8 @@ def test_delta_mc_matches_matrix_path_bit_for_bit(spec):
     for seed, rho in ((0, 2.0), (1, 4.0)):
         F = sample_adjoint_ball_sl2(model, rho, 3, np.random.default_rng([seed, 17]))
         cfg = McConfig(2 * 10 ** 5, seed, 10 ** 5)
-        want, rejected = _matrix_delta_mc(model, F, W, cfg)
-        assert rejected == 0 and want.hits > 0
+        want, rejected, misplaced = _matrix_delta_mc(model, F, W, cfg)
+        assert rejected == 0 and misplaced == 0 and want.hits > 0
         assert delta_mc(model, F, W, cfg) == want
 
 
@@ -454,14 +529,14 @@ def test_delta_mc_matches_matrix_path_bit_for_bit(spec):
 def test_delta_mc_refuses_where_exp_is_not_injective(spec):
     # sup det x over W is min(W.params)^2 / 2: past pi sqrt2 it reaches pi^2,
     # the rotation angle where the principal log of e^x stops being x.  On
-    # ball:5 the matrix path rejects samples near that angle, and on ball:30,
-    # where e^x reaches cosh(21), it aborts
+    # ball:5 the matrix path moves the survival radius of rays past that
+    # angle, and on ball:30, where e^x reaches cosh(21), it aborts
     model = build_model("sl:2")
     F = sample_adjoint_ball_sl2(model, 2.0, 3, np.random.default_rng(3))
     cfg = McConfig(10 ** 5, 3, 10 ** 5)
     W = Neighborhood.parse(spec)
     if spec == "ball:5":
-        assert _matrix_delta_mc(model, F, W, cfg)[1] > 0
+        assert _matrix_delta_mc(model, F, W, cfg)[2] > 0
     if spec == "ball:30":
         with pytest.raises(_LogRoundTripError):
             _matrix_delta_mc(model, F, W, cfg)
@@ -519,6 +594,25 @@ def test_sl2_density_matches_matrix_density():
     assert np.all(np.abs(_sl2_density(x) - want) <= 1e-13 * np.maximum(1.0, want))
 
 
+def test_radial_mass_matches_quadrature():
+    # S(z) = M(r)/r^3 against scipy's quad of nu(t theta) t^2 on rays with
+    # -det theta = +-1/2 at r = sqrt(2|z|), for both signs of z, on both sides
+    # of the series switch at |z| = 1/8 and up to |z| = pi^2 (ball:pi sqrt2)
+    integrate = pytest.importorskip("scipy.integrate")
+    rays = {1.0: np.array([1.0, 0.0, 0.0]) / math.sqrt(2.0),
+            -1.0: np.array([0.0, 1.0, -1.0]) / math.sqrt(2.0)}
+    for z in (1e-9, 1e-4, 0.01, 0.1, 0.125 * (1.0 - 1e-12), 0.125 * (1.0 + 1e-12), 0.2, 1.0,
+              4.0, math.pi ** 2):
+        r = math.sqrt(2.0 * z)
+        for sign, theta in rays.items():
+            assert -2.0 * _sl2_det(theta[None])[0] == pytest.approx(sign, rel=1e-15)
+            mass, _ = integrate.quad(lambda t: _sl2_density((t * theta)[None])[0] * t * t,
+                                     0.0, r, epsabs=0.0, epsrel=1e-13, limit=200)
+            want = mass / r ** 3
+            got = _radial_mass(np.array([sign * z]))[0]
+            assert abs(got - want) <= 1e-13 * want, (sign * z, got, want)
+
+
 def _unblocked_volume_mc(oracle, dim, box_radius, cfg):
     """volume_mc with each batch drawn by one rng.uniform call."""
     radii = np.broadcast_to(np.asarray(box_radius, dtype=float), (dim,))
@@ -549,8 +643,8 @@ def test_blocked_draws_match_one_uniform_call(monkeypatch, block, batch):
     model = build_model("sl:2")
     F = sample_adjoint_ball_sl2(model, 2.0, 3, np.random.default_rng(8))
     W = Neighborhood("tube", (0.1, 0.5))
-    want, rejected = _matrix_delta_mc(model, F, W, cfg)
-    assert rejected == 0 and want.hits > 0
+    want, rejected, misplaced = _matrix_delta_mc(model, F, W, cfg)
+    assert rejected == 0 and misplaced == 0 and want.hits > 0
     assert delta_mc(model, F, W, cfg) == want
 
 
@@ -685,6 +779,48 @@ def test_frame_cube_agrees_with_the_x_box(spec):
         est = delta_mc(model, F, W, McConfig(2 * 10 ** 6, seed, 5 * 10 ** 5))
         mean, stderr = _xbox_delta_mc(F, W, McConfig(2 * 10 ** 6, seed + 100, 5 * 10 ** 5))
         assert abs(est.mean - mean) <= 4.0 * math.hypot(est.stderr, stderr)
+
+
+# the survival fraction of the suite's delta-mc member (rho = 2, F of seed 11,
+# tube:0.05,0.5) by radial quadrature, to about 3e-5 (ROADMAP item 1)
+_SUITE_DELTA = 0.68518
+
+
+def _suite_member():
+    model = build_model("sl:2")
+    F = sample_adjoint_ball_sl2(model, 2.0, 3, np.random.default_rng(11))
+    return model, F, Neighborhood.parse("tube:0.05,0.5")
+
+
+def test_delta_mc_suite_member_near_quadrature_value():
+    model, F, W = _suite_member()
+    est = delta_mc(model, F, W, McConfig(10 ** 7, 11, 10 ** 6))
+    assert abs(est.mean - _SUITE_DELTA) <= 4.0 * est.stderr + 3e-5
+
+
+def test_delta_mc_stderr_is_calibrated():
+    # the spread of (estimate - delta)/stderr over seeds is that of a unit normal
+    model, F, W = _suite_member()
+    z = []
+    for seed in range(100):
+        est = delta_mc(model, F, W, McConfig(250_000, seed, 250_000))
+        z.append((est.mean - _SUITE_DELTA) / est.stderr)
+    assert 0.8 <= math.sqrt(np.mean(np.square(z))) <= 1.2
+
+
+@pytest.mark.parametrize("spec", [
+    "tube:0.1,0.5", "tube:0.05,0.5", "tube:0.025,0.5", "ball:0.1", "ball:1", "ball:3.2",
+])
+def test_radial_mass_beats_the_indicator_on_the_same_draws(spec):
+    model = build_model("sl:2")
+    W = Neighborhood.parse(spec)
+    for seed, rho in ((0, 2.0), (1, 4.0)):
+        F = sample_adjoint_ball_sl2(model, rho, 3, np.random.default_rng([seed, 17]))
+        cfg = McConfig(10 ** 6, seed, 5 * 10 ** 5)
+        est, old = delta_mc(model, F, W, cfg), _indicator_delta_mc(F, W, cfg)
+        assert est.hits == old.hits > 0
+        assert est.stderr < old.stderr
+        assert abs(est.mean - old.mean) <= 4.0 * old.stderr
 
 
 def test_volume_mc_memory_does_not_grow_with_the_batch():
