@@ -171,14 +171,14 @@ def _ad_stack(model: LieModel, coords: np.ndarray) -> np.ndarray:
     return flat.reshape(-1, dim, dim).swapaxes(1, 2)
 
 
-def _adjoint_operator_matrix(g: GroupMatrix) -> np.ndarray:
-    """Ad_g in a Frobenius-orthonormal basis of the model's span."""
-    model = g.model
-    ginv = np.linalg.inv(g.mat)
+def _adjoint_operator_matrix(model: LieModel, g: np.ndarray) -> np.ndarray:
+    """Ad_g of an invertible (n, n) matrix g in a Frobenius-orthonormal basis
+    of the model's span."""
+    ginv = np.linalg.inv(g)
     n, dim = model.n, model.dim
     onb = model._onb  # (n^2, dim), columns orthonormal
     cols = onb.T.reshape(dim, n, n)
-    conjugated = np.einsum("ab,kbc,cd->kad", g.mat, cols, ginv)
+    conjugated = np.einsum("ab,kbc,cd->kad", g, cols, ginv)
     return onb.T @ conjugated.reshape(dim, n * n).T
 
 
@@ -187,7 +187,7 @@ def adjoint_norm(g: GroupMatrix) -> float:
     and = 1 exactly on the maximal compact subgroup."""
     if abs(np.linalg.det(g.mat)) < 1e-12:
         raise ValueError("matrix is singular")
-    return float(np.linalg.svd(_adjoint_operator_matrix(g), compute_uv=False)[0])
+    return float(np.linalg.svd(_adjoint_operator_matrix(g.model, g.mat), compute_uv=False)[0])
 
 
 def _special_orthogonal(normals: np.ndarray) -> np.ndarray:

@@ -10,8 +10,8 @@ points are those of a single draw of the whole batch, and memory no longer
 grows with the batch size.  The sl(2) paths are closed-form and vectorized,
 and sample in the Frobenius-orthonormal frame (y, a, b), where the nilpotent
 cone is y^2 + a^2 = b^2: the key lemma in the sheared plane that encloses a
-tube, the survival fraction in the cube that encloses W (after a near-cone
-superset test on a tube), where each hit adds the exact Haar mass of its ray.
+tube, the survival fraction in the cube that encloses W, decided in that
+frame alone, where each hit adds the exact Haar mass of its ray.
 Conjugation acts through the 3x3 matrix of Ad: log(s^-1 e^x s) = Ad_{s^-1} x
 wherever exp is injective, so no matrix exp or log is formed.
 """
@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import FiniteGroup, GroupSubset, _conjugation_mask
-from .liealg import GroupMatrix, LieModel, build_model, random_special_orthogonal
+from .liealg import GroupMatrix, LieModel, _adjoint_operator_matrix, build_model
+from .liealg import random_special_orthogonal
 
 __all__ = [
     "McConfig",
@@ -118,31 +119,14 @@ def _box_blocks(radii: np.ndarray, cfg: McConfig, b: int):
 
 
 # ---------------------------------------------------------------------------
-# sl(2) closed forms, vectorized over sample batches
+# sl(2) in the frame (y, a, b), vectorized over sample batches
 #
-# coordinates (x1, x2, x3) <-> [[x1, x2], [x3, -x1]];  |x|_F^2 = 2 x1^2 + x2^2
-# + x3^2, det = -x1^2 - x2 x3, orbit min norm = sqrt(2 |det|).  The frame
-# (y, a, b) = (sqrt2 x1, (x2 + x3)/sqrt2, (x2 - x3)/sqrt2) = _FRAME_TO_SL2^-1 x
-# has |x|_F^2 = y^2 + a^2 + b^2 and 2 det x = b^2 - y^2 - a^2.
-_FRAME_TO_SL2 = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, -1.0]]) / math.sqrt(2.0)
-
-
-def _sl2_frob2(x: np.ndarray) -> np.ndarray:
-    return 2.0 * x[:, 0] ** 2 + x[:, 1] ** 2 + x[:, 2] ** 2
-
-
-def _sl2_det(x: np.ndarray) -> np.ndarray:
-    return -(x[:, 0] ** 2) - x[:, 1] * x[:, 2]
-
-
-def _sl2_conjugation(s: np.ndarray) -> np.ndarray:
-    """The 3x3 matrix of x -> s^{-1} x s = Ad_{s^{-1}} x on sl(2) coordinates."""
-    s_inv = np.linalg.inv(s)
-    cols = []
-    for x in ([[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]):
-        m = s_inv @ np.array(x) @ s
-        cols.append([0.5 * (m[0, 0] - m[1, 1]), m[0, 1], m[1, 0]])
-    return np.array(cols).T
+# x = y H/sqrt2 + a (E_12 + E_21)/sqrt2 + b (E_12 - E_21)/sqrt2 with
+# H = diag(1, -1): the basis _FRAME is Frobenius-orthonormal, so |x|_F^2 =
+# y^2 + a^2 + b^2, 2 det x = b^2 - y^2 - a^2, and the orbit min norm
+# sqrt(2 |det x|) vanishes on the nilpotent cone y^2 + a^2 = b^2.
+_FRAME = np.array([[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]],
+                   [[0.0, 1.0], [-1.0, 0.0]]]) / math.sqrt(2.0)
 
 
 _MASS_SERIES = [2.0 * 4.0 ** j / math.factorial(2 * j + 3) for j in range(7, -1, -1)]
@@ -170,6 +154,9 @@ class Neighborhood:
     params: tuple[float, ...]
 
     def __post_init__(self):
+        if {"ball": 1, "tube": 2}.get(self.kind) != len(self.params):
+            raise ValueError(f"bad neighbourhood {self.kind!r} with {len(self.params)} "
+                             "parameter(s): expected ball:r or tube:eps,R")
         if not all(0.0 < v < math.inf for v in self.params):
             raise ValueError(f"{self.kind} parameters must be positive and finite")
 
@@ -181,11 +168,7 @@ class Neighborhood:
         except ValueError:
             raise ValueError(
                 f"bad neighbourhood spec {spec!r}: empty or non-numeric parameter") from None
-        if kind == "ball" and len(params) == 1:
-            return Neighborhood("ball", params)
-        if kind == "tube" and len(params) == 2:
-            return Neighborhood("tube", params)
-        raise ValueError(f"bad neighbourhood spec {spec!r}")
+        return Neighborhood(kind, params)
 
     def frame_half_width(self) -> float:
         """Half-width h of the frame cube |y|, |a|, |b| <= h enclosing W: R for a
@@ -194,24 +177,15 @@ class Neighborhood:
             return self.params[0]
         return math.sqrt((self.params[0] ** 2 + self.params[1] ** 2) / 2.0)
 
-    def contains_sl2(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "ball":
-            return _sl2_frob2(x) < self.params[0] ** 2
-        eps, radius = self.params
-        min_orbit2 = 2.0 * np.abs(_sl2_det(x))
-        return (min_orbit2 < eps ** 2) & (_sl2_frob2(x) < radius ** 2)
-
     def _frame_rows_inside(self, u: np.ndarray) -> np.ndarray:
-        """The frame rows u that ``contains_sl2`` keeps, in order, in x.  A tube
-        first keeps the rows with |y^2 + a^2 - b^2| < eps^2 + 1e-9 (eps^2 + R^2),
-        a superset whose margin covers the rounding of both forms of det in
-        the cube, and maps and tests those alone: most draws miss a thin tube."""
+        """The frame rows u = (y, a, b) of the points of W, in order.  A tube
+        first keeps 2 |det x| = |y^2 + a^2 - b^2| < eps^2, which most draws
+        miss, then either kind |x|_F^2 = |u|^2 < R^2."""
         if self.kind == "tube":
-            eps, radius = self.params
-            near = np.square(u) @ [1.0, 1.0, -1.0]  # y^2 + a^2 - b^2
-            u = u[np.flatnonzero(np.abs(near) < eps ** 2 + 1e-9 * (eps ** 2 + radius ** 2))]
-        x = u @ _FRAME_TO_SL2.T
-        return x[np.flatnonzero(self.contains_sl2(x))]
+            sq = np.square(u)
+            u = u[np.flatnonzero(np.abs(sq[:, 0] + sq[:, 1] - sq[:, 2]) < self.params[0] ** 2)]
+        sq = np.square(u)
+        return u[np.flatnonzero(sq[:, 0] + sq[:, 1] + sq[:, 2] < self.params[-1] ** 2)]
 
 
 def delta_mc(
@@ -239,6 +213,13 @@ def delta_mc(
     ``_radial_mass``).  So a hit adds a = (r_F / r_W)^3 S(mu^2 r_F^2) over
     b = S(mu^2 r_W^2); five running sums of b and b - a give the ratio and its
     stderr sqrt(sum (a - delta b)^2) / sum b.  Each r is kept as t = (R |x| / r)^2.
+
+    Everything is read from the frame rows u that ``Neighborhood`` keeps:
+    |x|_F = |u|, 2 |det x| = |y^2 + a^2 - b^2| and |Ad_{s^{-1}} x|_F = |A u|, A
+    the ``_adjoint_operator_matrix`` of s^{-1} after the frame's map into its
+    orthonormal basis.  An s with |A| <= 1 + 1e-12 (s in K = SO(2), up to
+    rounding) raises no t_F by a factor over 1 + 2e-12 and is dropped, so F in
+    K gives 1 +- 0.
     """
     if model.name != "sl:2":
         raise NotImplementedError("vectorized sampler is sl:2 only")
@@ -249,22 +230,25 @@ def delta_mc(
     if min(W.params) > limit:
         raise ValueError(f"{W.kind} parameter {min(W.params):g} exceeds pi sqrt2 = {limit:.6f}: "
                          "exp is not injective on W, so the ratio is not delta of exp(W)")
-    ads = [_sl2_conjugation(s.mat) for s in F]
-    det_scale = 2.0 * W.params[-1] ** 2 / W.params[0] ** 2 if W.kind == "tube" else 0.0
+    frame = model._onb.T @ _FRAME.reshape(3, 4).T  # frame rows -> orthonormal coordinates
+    ads = [_adjoint_operator_matrix(model, np.linalg.inv(s.mat)) @ frame for s in F]
+    ads = [ad for ad in ads if np.linalg.norm(ad, 2) > 1.0 + 1e-12]
+    r2 = W.params[-1] ** 2
+    cone_scale = r2 / W.params[0] ** 2 if W.kind == "tube" else 0.0
     radii = np.full(3, W.frame_half_width())
     sums, hits = np.zeros(5), 0  # sums of b, lost, b^2, b lost, lost^2
     for b in range(cfg.samples // cfg.batch):
-        x = np.concatenate([W._frame_rows_inside(u).T for u in _box_blocks(radii, cfg, b)], axis=1)
-        hits += x.shape[1]
-        sq = np.square(x)
-        det = -sq[0] - x[1] * x[2]
-        t_w = np.maximum(2.0 * sq[0] + sq[1] + sq[2], det_scale * np.abs(det))
+        u = np.concatenate([W._frame_rows_inside(v).T for v in _box_blocks(radii, cfg, b)], axis=1)
+        hits += u.shape[1]
+        sq = np.square(u)
+        cone = sq[0] + sq[1] - sq[2]  # -2 det x
+        t_w = np.maximum(sq[0] + sq[1] + sq[2], cone_scale * np.abs(cone))
         t_f = t_w
         for ad in ads:  # sq takes the squares of each conjugate in turn
-            np.square(np.matmul(ad, x, out=sq), out=sq)
-            t_f = np.maximum(t_f, 2.0 * sq[0] + sq[1] + sq[2])
-        del x, sq  # a lower peak: the mass terms need only (hits,) arrays
-        z = -W.params[-1] ** 2 * det  # mu^2 r^2 = z / t
+            np.square(np.matmul(ad, u, out=sq), out=sq)
+            t_f = np.maximum(t_f, sq[0] + sq[1] + sq[2])
+        del u, sq  # a lower peak: the mass terms need only (hits,) arrays
+        z = 0.5 * r2 * cone  # mu^2 r^2 = z / t
         mass_w = _radial_mass(z / t_w)
         lost = mass_w - (t_w / t_f) ** 1.5 * _radial_mass(z / t_f)
         sums += [mass_w.sum(), lost.sum(), mass_w @ mass_w, mass_w @ lost, lost @ lost]

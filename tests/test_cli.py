@@ -370,6 +370,12 @@ CAUSES = [
      "bad neighbourhood spec 'tube:0.05,0.5,': empty or non-numeric parameter"),
     (["delta-mc", "--W", "ball:,0.3", "--samples", "10000"],
      "bad neighbourhood spec 'ball:,0.3': empty or non-numeric parameter"),
+    (["delta-mc", "--W", "tube:0.1", "--samples", "10000"],
+     "bad neighbourhood 'tube' with 1 parameter(s): expected ball:r or tube:eps,R"),
+    (["delta-mc", "--W", "box:1", "--samples", "10000"],
+     "bad neighbourhood 'box' with 1 parameter(s)"),
+    (["delta-mc", "--W", "ball:1,2", "--samples", "10000"],
+     "bad neighbourhood 'ball' with 2 parameter(s)"),
 ]
 
 

@@ -23,7 +23,7 @@ from ncfourier.liealg import (
     _matrix_density,
     _nilpotent_orbit_dims,
 )
-from ncfourier.montecarlo import Neighborhood
+from ncfourier.montecarlo import _FRAME, Neighborhood
 
 
 @pytest.fixture(scope="module")
@@ -604,24 +604,30 @@ def test_orbit_min_norm_needs_sl_model():
 
 
 def test_tube_membership(sl2):
-    # Neighborhood("tube") tests inf_g ||Ad_g x|| < eps by the sl(2) closed
-    # form sqrt(2 |det x|); the orbit_min_norm of each point is its oracle
-    def contains(tube, x):
-        return bool(tube.contains_sl2(np.asarray(x, dtype=float)[None])[0])
+    # Neighborhood("tube") keeps the frame rows u of x = sum_k u_k _FRAME[k]
+    # with inf_g ||Ad_g x|| = sqrt(2 |det x|) = sqrt|y^2 + a^2 - b^2| < eps and
+    # ||x||_F = |u| < R; the orbit_min_norm of each point is its oracle
+    def contains(tube, u):
+        return len(tube._frame_rows_inside(np.array([u], dtype=float))) == 1
 
     assert contains(Neighborhood("tube", (0.5, 0.5)), [0, 0, 0])
-    assert contains(Neighborhood("tube", (0.01, 2.0)), [0, 1, 0])
-    assert not contains(Neighborhood("tube", (1.0, 2.0)), [1, 0, 0])
-    assert not contains(Neighborhood("tube", (0.5, 1.0)), [0, 1, 0])  # ||E||_F = 1
+    assert contains(Neighborhood("tube", (0.01, 2.0)), [0, 1, 1])  # sqrt2 E_12
+    assert not contains(Neighborhood("tube", (1.0, 2.0)), [1, 0, 0])  # orbit min norm 1
+    assert not contains(Neighborhood("tube", (1.5, 1.0)), [0, 0, 1])  # ||x||_F = 1
     tube = Neighborhood("tube", (0.2, 0.6))
     rng = np.random.default_rng(10)
     pts = rng.standard_normal((40, 3)) * 0.4
-    forward = tube.contains_sl2(pts)
-    assert np.array_equal(forward, tube.contains_sl2(-pts))
-    want = [orbit_min_norm(sl2.vector(x)) < 0.2 and np.linalg.norm(sl2.vector(x).matrix()) < 0.6
-            for x in pts]
-    assert forward.tolist() == want
-    assert 0 < forward.sum() < len(pts)
+    want = []
+    for u in pts:
+        x = sl2.vector_from_matrix(np.tensordot(u, _FRAME, 1))
+        want.append(orbit_min_norm(x) < 0.2 and np.linalg.norm(x.matrix()) < 0.6)
+    assert np.array_equal(tube._frame_rows_inside(pts), pts[want])
+    assert np.array_equal(tube._frame_rows_inside(-pts), -pts[want])
+    assert 0 < sum(want) < len(pts)
+    # a neighbourhood checks its own kind and arity
+    for kind, params in (("tube", (0.1,)), ("box", (1.0,)), ("ball", (1.0, 2.0))):
+        with pytest.raises(ValueError, match="expected ball:r or tube:eps,R"):
+            Neighborhood(kind, params)
 
 
 def test_group_matrix_validation(sl2):

@@ -6,13 +6,14 @@ import pytest
 
 from ncfourier import montecarlo
 from ncfourier.groups import build_group
-from ncfourier.liealg import GroupMatrix, _matrix_density, adjoint_norm, build_model
+from ncfourier.liealg import (
+    GroupMatrix, _adjoint_operator_matrix, _matrix_density, adjoint_norm, build_model,
+)
 from ncfourier.montecarlo import (
     McConfig,
     McEstimate,
     Neighborhood,
     _radial_mass,
-    _sl2_det,
     _tube_volume_mc,
     delta_bound_verdict,
     delta_lower_bound_check,
@@ -323,6 +324,64 @@ def test_key_lemma_thick_tube_warns():
 # ---------------------------------------------------------------------------
 # oracles: the matrix exp/log path of delta_mc, the sequential SL(2,Z) count
 # and the exact sl(2) tube volume
+#
+# x coordinates (x1, x2, x3) <-> [[x1, x2], [x3, -x1]], where |x|_F^2 =
+# 2 x1^2 + x2^2 + x3^2 and det x = -x1^2 - x2 x3: the oracles decide W there,
+# independently of delta_mc's frame rows (y, a, b)
+
+
+def _sl2_frob2(x):
+    return 2.0 * x[:, 0] ** 2 + x[:, 1] ** 2 + x[:, 2] ** 2
+
+
+def _sl2_det(x):
+    return -(x[:, 0] ** 2) - x[:, 1] * x[:, 2]
+
+
+def _contains(W, x):
+    """W in x coordinates: |x|_F < R, and 2 |det x| < eps^2 on a tube."""
+    inside = _sl2_frob2(x) < W.params[-1] ** 2
+    if W.kind == "tube":
+        inside &= 2.0 * np.abs(_sl2_det(x)) < W.params[0] ** 2
+    return inside
+
+
+def _matrices(x):
+    return np.stack([x[:, 0], x[:, 1], x[:, 2], -x[:, 0]], axis=1).reshape(-1, 2, 2)
+
+
+def _x_of(m):
+    """x coordinates of traceless 2x2 matrix batches."""
+    return np.column_stack([0.5 * (m[:, 0, 0] - m[:, 1, 1]), m[:, 0, 1], m[:, 1, 0]])
+
+
+def _frame_matrices(u):
+    """The matrices sum_k u_k _FRAME[k] of the frame rows u."""
+    return np.tensordot(u, montecarlo._FRAME, 1)
+
+
+def _x_of_frame(u):
+    return _x_of(_frame_matrices(u))
+
+
+def _conjugate(s, x):
+    """x coordinates of s^-1 X s for each row x, through 2x2 matrices."""
+    return _x_of(np.linalg.inv(s.mat) @ _matrices(x) @ s.mat)
+
+
+def _frame_inside(W, u):
+    """W on frame rows, in the arithmetic of ``Neighborhood._frame_rows_inside``."""
+    sq = np.square(u)
+    inside = sq[:, 0] + sq[:, 1] + sq[:, 2] < W.params[-1] ** 2
+    if W.kind == "tube":
+        inside &= np.abs(sq[:, 0] + sq[:, 1] - sq[:, 2]) < W.params[0] ** 2
+    return inside
+
+
+def _frame_adjoints(model, F):
+    """delta_mc's Ad_{s^-1} for each s, from frame rows to orthonormal coordinates."""
+    frame = model._onb.T @ montecarlo._FRAME.reshape(3, 4).T
+    return [_adjoint_operator_matrix(model, np.linalg.inv(s.mat)) @ frame for s in F]
 
 
 def _gather_exp_coeffs(mu2):
@@ -372,20 +431,6 @@ def _sl2_density(x):
     return out
 
 
-def _gather_density(x):
-    """The Haar density (sinh mu / mu)^2 in exponential coordinates, on gathers."""
-    mu2 = -_sl2_det(x)
-    out = np.empty_like(mu2)
-    pos = mu2 > 1e-12
-    neg = mu2 < -1e-12
-    mid = ~(pos | neg)
-    w = np.sqrt(np.abs(mu2))
-    out[pos] = (np.sinh(w[pos]) / w[pos]) ** 2
-    out[neg] = (np.sin(w[neg]) / w[neg]) ** 2
-    out[mid] = 1.0 + mu2[mid] / 3.0
-    return out
-
-
 def _matrix_exp(x):
     """exp of traceless 2x2 batches given by coordinates, as matrices."""
     c0, c1 = _gather_exp_coeffs(-_sl2_det(x))
@@ -412,31 +457,33 @@ class _LogRoundTripError(RuntimeError):
     """More than 1% of the checked points failed the matrix-log roundtrip."""
 
 
-def _rb_sums(x, F, W):
-    """delta_mc's five running sums over the hits x, one conjugator at a time,
-    and each hit's t_F: its survival radius is r_F = R |x| / sqrt(t_F)."""
+def _rb_sums(model, u, F, W):
+    """delta_mc's five running sums over the hits u (frame rows), one
+    conjugator at a time, and each hit's t_F: its survival radius is
+    r_F = R |u| / sqrt(t_F).  Every s counts: the F sampled here from
+    adjoint balls with rho > 1 hold no element of K, which delta_mc drops."""
     R2 = W.params[-1] ** 2
-    x = x.T.copy()
-    sq = np.square(x)
-    det = -sq[0] - x[1] * x[2]
-    t_w = 2.0 * sq[0] + sq[1] + sq[2]
+    u = u.T.copy()
+    sq = np.square(u)
+    cone = sq[0] + sq[1] - sq[2]
+    t_w = sq[0] + sq[1] + sq[2]
     if W.kind == "tube":
-        t_w = np.maximum(t_w, 2.0 * R2 / W.params[0] ** 2 * np.abs(det))
+        t_w = np.maximum(t_w, R2 / W.params[0] ** 2 * np.abs(cone))
     t_f = t_w.copy()
-    for s in F:
-        y2 = np.square(montecarlo._sl2_conjugation(s.mat) @ x)
-        t_f = np.maximum(t_f, 2.0 * y2[0] + y2[1] + y2[2])
-    det *= -R2
-    b = _radial_mass(det / t_w)
-    lost = b - (t_w / t_f) ** 1.5 * _radial_mass(det / t_f)
+    for ad in _frame_adjoints(model, F):
+        y2 = np.square(ad @ u)
+        t_f = np.maximum(t_f, y2[0] + y2[1] + y2[2])
+    z = 0.5 * R2 * cone
+    b = _radial_mass(z / t_w)
+    lost = b - (t_w / t_f) ** 1.5 * _radial_mass(z / t_f)
     return [b.sum(), lost.sum(), b @ b, b @ lost, lost @ lost], t_f
 
 
 def _matrix_radius_check(F, W, x, t_f):
-    """The survival radius of each hit x through 2x2 matrices: on its ray,
-    (1 - 1e-9) r_F must lie in W and survive every s, and (1 + 1e-9) r_F must
-    leave W or fail some s, where surviving s means that the principal log
-    of s^-1 e^x s lies in W.  Returns the hits whose exp-log roundtrip
+    """The survival radius of each hit x (x coordinates) through 2x2
+    matrices: on its ray, (1 - 1e-9) r_F must lie in W and survive every s,
+    and (1 + 1e-9) r_F must leave W or fail some s, where surviving s means
+    that the principal log of s^-1 e^x s lies in W.  Returns the hits whose exp-log roundtrip
     failed and the hits found on the wrong side."""
     mats = np.stack([s.mat for s in F])
     inv_mats = np.stack([np.linalg.inv(s.mat) for s in F])
@@ -445,14 +492,14 @@ def _matrix_radius_check(F, W, x, t_f):
     survives = []
     for side in (1.0 - 1e-9, 1.0 + 1e-9):
         pts = x * (side * scale)[:, None]
-        surviving = W.contains_sl2(pts)
+        surviving = _contains(W, pts)
         expx = _matrix_exp(pts)
         for k in range(len(F)):
             z = np.einsum("ab,nbc,cd->nad", inv_mats[k], expx, mats[k])
             y, ok = _matrix_log(z)
             ok &= np.linalg.norm(_matrix_exp(y) - z, axis=(1, 2)) <= 1e-8
             good &= ok
-            surviving &= W.contains_sl2(y)
+            surviving &= _contains(W, y)
         survives.append(surviving)
     misplaced = good & ~(survives[0] & ~survives[1])
     return int(np.count_nonzero(~good)), int(np.count_nonzero(misplaced))
@@ -460,8 +507,8 @@ def _matrix_radius_check(F, W, x, t_f):
 
 def _matrix_delta_mc(model, F, W, cfg):
     """delta_mc with each batch drawn by one rng.uniform call of the frame
-    cube, mapped to x and filtered by contains_sl2 with no prefilter, and
-    every hit's survival radius checked through 2x2 matrices
+    cube and filtered and summed in the frame as delta_mc does, and every
+    hit's survival radius checked through 2x2 matrices
     (``_matrix_radius_check``).  Returns the estimate, the hits whose
     roundtrip failed and the hits whose radius the matrices contradict."""
     h = W.frame_half_width()
@@ -469,14 +516,14 @@ def _matrix_delta_mc(model, F, W, cfg):
     hits = rejected = misplaced = 0
     for b in range(cfg.samples // cfg.batch):
         rng = np.random.default_rng([cfg.seed, b])
-        pts = rng.uniform(-h, h, size=(cfg.batch, 3)) @ montecarlo._FRAME_TO_SL2.T
-        pts = pts[W.contains_sl2(pts)]
-        if pts.shape[0] == 0:
+        u = rng.uniform(-h, h, size=(cfg.batch, 3))
+        u = u[_frame_inside(W, u)]
+        if u.shape[0] == 0:
             continue
-        hits += pts.shape[0]
-        batch_sums, t_f = _rb_sums(pts, F, W)
+        hits += u.shape[0]
+        batch_sums, t_f = _rb_sums(model, u, F, W)
         sums += batch_sums
-        bad, wrong = _matrix_radius_check(F, W, pts, t_f)
+        bad, wrong = _matrix_radius_check(F, W, _x_of_frame(u), t_f)
         rejected += bad
         misplaced += wrong
     if hits and rejected > 0.01 * hits:
@@ -493,14 +540,13 @@ def _indicator_delta_mc(F, W, cfg):
     ray's radial mass: on the same hits, the 0/1 survival of each weighted by
     nu, with the delta-method stderr of sum 1_S nu / sum nu."""
     radii = np.full(3, W.frame_half_width())
-    ads = [montecarlo._sl2_conjugation(s.mat) for s in F]
     numer, denom = [], []
     for b in range(cfg.samples // cfg.batch):
         for u in montecarlo._box_blocks(radii, cfg, b):
-            pts = W._frame_rows_inside(u)
+            pts = _x_of_frame(W._frame_rows_inside(u))
             surviving = np.ones(len(pts), dtype=bool)
-            for ad in ads:
-                surviving &= W.contains_sl2(pts @ ad.T)
+            for s in F:
+                surviving &= _contains(W, _conjugate(s, pts))
             weights = _sl2_density(pts)
             numer.append(np.where(surviving, weights, 0.0))
             denom.append(weights)
@@ -549,9 +595,9 @@ def test_delta_mc_refuses_where_exp_is_not_injective(spec):
 
 def test_conjugated_exp_has_the_adjoint_as_its_principal_log():
     # log(s^-1 e^x s) = Ad_{s^-1} x, the identity delta_mc rests on, checked
-    # with scipy's expm and logm on tube and ball points, and on two elliptic
-    # points of ball:4.25 at the rotation angle sqrt(det x) = 3.0 (the
-    # principal log's branch point is at pi)
+    # for its frame Ad with scipy's expm and logm on tube and ball points, and
+    # on two elliptic points of ball:4.25 at the rotation angle sqrt(det x) =
+    # 3.0 (the principal log's branch point is at pi)
     linalg = pytest.importorskip("scipy.linalg")
     model = build_model("sl:2")
     F = sample_adjoint_ball_sl2(model, 4.0, 3, np.random.default_rng(5))
@@ -561,26 +607,15 @@ def test_conjugated_exp_has_the_adjoint_as_its_principal_log():
                         ("ball:4.25", [[0.0, 3.0, -3.0], [0.1, -b, b]])):
         W = Neighborhood.parse(spec)
         h = W.frame_half_width()
-        pts = rng.uniform(-h, h, (1000, 3)) @ montecarlo._FRAME_TO_SL2.T
-        pts = np.concatenate([pts[W.contains_sl2(pts)][:30], np.reshape(extra, (-1, 3))])
-        assert W.contains_sl2(pts).all()
-        for s in F:
-            ad = montecarlo._sl2_conjugation(s.mat)
+        u = W._frame_rows_inside(rng.uniform(-h, h, (1000, 3)))[:30]
+        u = np.concatenate([u, _frame(np.reshape(extra, (-1, 3)))])
+        assert _contains(W, _x_of_frame(u)).all()
+        for s, ad in zip(F, _frame_adjoints(model, F)):
             s_inv = np.linalg.inv(s.mat)
-            for x, y in zip(pts, pts @ ad.T):
-                z = s_inv @ linalg.expm(_coords_to_matrix(x)) @ s.mat
-                want = _coords_to_matrix(y)
+            for mat, v in zip(_frame_matrices(u), u @ ad.T):
+                z = s_inv @ linalg.expm(mat) @ s.mat
+                want = (model._onb @ v).reshape(2, 2)
                 assert np.max(np.abs(linalg.logm(z) - want)) <= 1e-9 * max(1.0, np.abs(want).max())
-
-
-def _coords_to_matrix(x):
-    return np.array([[x[0], x[1]], [x[2], -x[0]]])
-
-
-def test_sl2_density_matches_gather_oracle():
-    x_edges = [[0.0, 1.0, 0.0], [1e-7, 0.0, 0.0], [0.0, 1e-7, -1e-7], [0.0, 2.0, -2.0]]
-    x = np.concatenate([x_edges, np.random.default_rng(1).uniform(-2.0, 2.0, (10 ** 4, 3))])
-    assert np.array_equal(_sl2_density(x), _gather_density(x))
 
 
 def test_sl2_density_matches_matrix_density():
@@ -648,54 +683,6 @@ def test_blocked_draws_match_one_uniform_call(monkeypatch, block, batch):
     assert delta_mc(model, F, W, cfg) == want
 
 
-def _ulp_cloud(pts, steps=3):
-    """pts, and pts with one coordinate moved by 1..steps ulps either way."""
-    out = [pts]
-    for axis in range(pts.shape[1]):
-        for k in range(1, steps + 1):
-            for sign in (1.0, -1.0):
-                q = pts.copy()
-                q[:, axis] += sign * k * np.spacing(q[:, axis])
-                out.append(q)
-    return np.concatenate(out)
-
-
-@pytest.mark.parametrize("spec", ["tube:0.1,0.5", "tube:0.05,0.5", "tube:0.025,0.5",
-                                  "ball:0.3", "ball:1"])
-def test_prefilter_keeps_exactly_the_rows_of_contains_sl2(spec):
-    # frame points on and within a few ulps of |x|_F = R and of
-    # 2|det x| = eps^2: the near-cone prefilter must not decide a row that
-    # contains_sl2 decides on the mapped point
-    W = Neighborhood.parse(spec)
-    R = W.params[-1]
-    rng = np.random.default_rng(12)
-    d = rng.standard_normal((20000, 3))
-    d /= np.linalg.norm(d, axis=1)[:, None]
-    parts = [R * d[:500]]
-    if W.kind == "tube":
-        eps = W.params[0]
-        cone = d[:, 0] ** 2 + d[:, 1] ** 2 - d[:, 2] ** 2
-        # on the sphere |x|_F = R and well inside the cone condition
-        parts.append(R * d[np.abs(cone) * R * R < eps * eps / 2.0])
-        # on 2|det x| = b^2 - y^2 - a^2 = +-eps^2
-        ya = rng.uniform(-R / 2.0, R / 2.0, (2000, 2))
-        for side in (1.0, -1.0):
-            b2 = np.sum(ya ** 2, axis=1) + side * eps * eps
-            ok = b2 >= 0.0
-            for sign in (1.0, -1.0):
-                parts.append(np.column_stack([ya[ok], sign * np.sqrt(b2[ok])]))
-    cloud = _ulp_cloud(np.concatenate(parts))
-    x = cloud @ montecarlo._FRAME_TO_SL2.T
-    keep = W.contains_sl2(x)
-    on_sphere = np.abs(montecarlo._sl2_frob2(x) / (R * R) - 1.0) < 1e-14
-    assert np.any(on_sphere & keep) and np.any(on_sphere & ~keep)
-    if W.kind == "tube":
-        near = 2.0 * np.abs(_sl2_det(x)) / (eps * eps)
-        on_edge = np.abs(near - 1.0) < 1e-14
-        assert np.any(on_edge & keep) and np.any(on_edge & ~keep)
-    assert np.array_equal(W._frame_rows_inside(cloud), x[keep])
-
-
 def _frame(x):
     """(y, a, b) = (sqrt2 x1, (x2 + x3)/sqrt2, (x2 - x3)/sqrt2), written out."""
     r = math.sqrt(2.0)
@@ -712,7 +699,7 @@ def test_frame_cube_encloses_the_neighbourhood(spec):
     R, h = W.params[-1], W.frame_half_width()
     rng = np.random.default_rng(21)
     d = rng.standard_normal((20000, 3))
-    sphere = R * d / np.sqrt(montecarlo._sl2_frob2(d))[:, None]
+    sphere = R * d / np.sqrt(_sl2_frob2(d))[:, None]
     if W.kind == "ball":
         parts = [sphere]
         extremes = np.array([[R, 0.0, 0.0], [0.0, R, -R]]) / math.sqrt(2.0)
@@ -725,7 +712,7 @@ def test_frame_cube_encloses_the_neighbourhood(spec):
             x1sq = side * eps * eps / 2.0 - x23[:, 0] * x23[:, 1]
             ok = x1sq >= 0.0
             shell = np.column_stack([np.sqrt(x1sq[ok]), x23[ok]])
-            parts.append(shell[montecarlo._sl2_frob2(shell) <= R * R])
+            parts.append(shell[_sl2_frob2(shell) <= R * R])
         # on the rim |x|_F = R, 2|det x| = eps^2: |b| = h where x2 = -x3 = h/sqrt2
         # and x1 = (R^2 - eps^2)^(1/2) / 2; y = h where x1 = h/sqrt2 and
         # x2 = -x3 = (R^2 - eps^2)^(1/2) / 2
@@ -734,15 +721,15 @@ def test_frame_cube_encloses_the_neighbourhood(spec):
             extremes = np.array([[rim / 2.0, h / math.sqrt(2.0), -h / math.sqrt(2.0)],
                                  [h / math.sqrt(2.0), rim / 2.0, -rim / 2.0]])
             assert np.allclose(2.0 * np.abs(_sl2_det(extremes)), eps * eps, rtol=1e-12, atol=0.0)
-            assert np.allclose(montecarlo._sl2_frob2(extremes), R * R, rtol=1e-12, atol=0.0)
+            assert np.allclose(_sl2_frob2(extremes), R * R, rtol=1e-12, atol=0.0)
     pts = np.concatenate(parts + [extremes])
     assert len(pts) > 1000
     u = _frame(pts)
     assert np.max(np.abs(u)) <= h * (1.0 + 1e-12)
     # the cube is tight: the extreme points reach its faces
     assert np.allclose(np.max(np.abs(_frame(extremes)), axis=1), h, rtol=1e-12, atol=0.0)
-    # the frame map of delta_mc inverts the one written out here
-    assert np.allclose(u @ montecarlo._FRAME_TO_SL2.T, pts, rtol=0.0, atol=1e-15)
+    # the frame basis of delta_mc inverts the map written out here
+    assert np.allclose(_x_of_frame(u), pts, rtol=0.0, atol=1e-15)
 
 
 def _xbox_delta_mc(F, W, cfg):
@@ -751,16 +738,15 @@ def _xbox_delta_mc(F, W, cfg):
     with per-hit weight arrays over the whole run."""
     R = W.params[-1]
     radii = np.array([R / math.sqrt(2.0), R, R])
-    ads = [montecarlo._sl2_conjugation(s.mat) for s in F]
     numer, denom = [], []
     for b in range(cfg.samples // cfg.batch):
         rng = np.random.default_rng([cfg.seed, b])
         pts = rng.uniform(-radii, radii, size=(cfg.batch, 3))
-        pts = pts[W.contains_sl2(pts)]
-        weights = _gather_density(pts)
+        pts = pts[_contains(W, pts)]
+        weights = _sl2_density(pts)
         surviving = np.ones(len(pts), dtype=bool)
-        for ad in ads:
-            surviving &= W.contains_sl2(pts @ ad.T)
+        for s in F:
+            surviving &= _contains(W, _conjugate(s, pts))
         numer.append(np.where(surviving, weights, 0.0))
         denom.append(weights)
     a, w = np.concatenate(numer), np.concatenate(denom)

@@ -11,10 +11,15 @@ seed, alternating which tree runs first, and summarises every end-to-end
 metric as parent and change medians with inclusive quartiles, next to the
 per-pair values of both sides.  Each run's median seconds per check kind,
 read from the run's ``perfbench/out/<workload>-seed<S>-trace0.json``, goes
-into the record too, under ``kind_median_s``.  Workload i uses the seeds
-first_seed + 100 i, ... .  A claim judged over several records pools their
-values: ``claim_result(w, metric, pool(metric, rows))`` with ``rows`` the
-records' ``workloads[w][metric["name"]]``.
+into the record too, under ``kind_median_s``.  The workload at position i of
+``BENCHMARK.json`` (from 0) uses the seeds first_seed + 100 i, ..., also when
+``--workload`` picks a subset, so a rerun of one workload repeats the seeds a
+full record gave it.  An unknown ``--workload``, fewer than 2 ``--pairs`` or a
+``--claim`` off the run workloads and end-to-end metrics exits 2 before any
+run.  A
+claim judged over several records pools their values:
+``claim_result(w, metric, pool(metric, rows))`` with ``rows`` the records'
+``workloads[w][metric["name"]]``.
 Nothing under ``perfbench/`` is changed; the runs write their own records
 under each tree's ``perfbench/out/``.
 """
@@ -165,11 +170,23 @@ def main(argv=None) -> int:
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     seconds = bench["run_seconds"]
-    names = args.workload or [w["name"] for w in bench["workloads"]]
+    listed = [w["name"] for w in bench["workloads"]]
+    names = args.workload or listed
+    unknown = [name for name in names if name not in listed]
+    if unknown:
+        parser.error(f"unknown workload {', '.join(unknown)}; "
+                     f"BENCHMARK.json has {', '.join(listed)}")
+    if args.pairs < 2:
+        parser.error(f"--pairs must be at least 2 for quartiles, got {args.pairs}")
+    if args.claim:  # the loop below rebinds name and metric
+        claimed, _, claimed_name = args.claim.partition(":")
+        claimed_metric = next((m for m in bench["end_to_end"] if m["name"] == claimed_name), None)
+        if claimed not in names or claimed_metric is None:
+            parser.error(f"--claim {args.claim} is not a run workload and an end-to-end metric")
     trees = {"parent": args.parent, "change": args.change}
     workloads = {}
-    for i, name in enumerate(names):
-        seeds = [args.first_seed + 100 * i + k for k in range(args.pairs)]
+    for name in names:
+        seeds = [args.first_seed + 100 * listed.index(name) + k for k in range(args.pairs)]
         runs = {"parent": [], "change": []}
         kinds = {"parent": [], "change": []}
         first = []
@@ -195,11 +212,8 @@ def main(argv=None) -> int:
         row["kind_median_s"] = kind_summary(kinds)
         workloads[name] = row
 
-    claim = None
-    if args.claim:
-        workload, name = args.claim.split(":")
-        metric = next(m for m in bench["end_to_end"] if m["name"] == name)
-        claim = claim_result(workload, metric, workloads[workload][name])
+    claim = (claim_result(claimed, claimed_metric, workloads[claimed][claimed_name])
+             if args.claim else None)
     record = {
         "change": args.note,
         "parent_commit": args.parent_commit,
