@@ -237,17 +237,40 @@ def _partitions(n: int, top: int | None = None) -> list[tuple[int, ...]]:
 
 
 def _power_ranks(mats: np.ndarray) -> np.ndarray:
-    """(S, n - 1) ranks of x^k, k = 1 .. n - 1, of a (S, n, n) stack: the
-    singular values of x^k above 1e-8 sigma_max(x)^k, by one batched SVD."""
-    powers = [mats]
-    for _ in range(mats.shape[-1] - 2):
-        powers.append(powers[-1] @ mats)
-    sigma = np.linalg.svd(np.stack(powers, axis=1), compute_uv=False)
-    cutoff = 1e-8 * sigma[:, :1, :1] ** np.arange(1, len(powers) + 1)[:, None]
-    return np.count_nonzero(sigma > cutoff, axis=-1)
+    """(S, n - 1) ranks of x^k, k = 1 .. n - 1, of a (S, n, n) stack: each
+    read as ||x^k||_F^2 where x^k is a partial isometry, -1 where it is not.
+    The powers of every sweep sample q J_lambda q^T are partial isometries,
+    since J_lambda^k is a 0/1 partial permutation.  One power is held at a
+    time, and no SVD is taken.
+
+    P = x^k (x^k)^T is symmetric with eigenvalues mu = sigma^2 >= 0, the
+    squared singular values of x^k.  If ||P^2 - P||_F <= tau = 1e-8, every
+    mu has mu |mu - 1| <= ||P^2 - P||_2 <= ||P^2 - P||_F, so mu <= 2 tau or
+    |mu - 1| <= 2 tau (for mu <= 1/2 the factor |mu - 1| is at least 1/2,
+    for mu >= 1/2 the factor mu is).  Then tr P = ||x^k||_F^2 lies within
+    2 n tau < 1/2 of the number r of mu near 1, and rint(tr P) = r: the
+    singular values near 1 are counted and those at most sqrt(2 tau) are
+    not, which is the count the rule sigma > 1e-8 sigma_max(x)^k gives when
+    no singular value lies between 1e-8 and 1.5e-4.  A power is read only
+    if it also has |tr P - rint(tr P)| <= 1e-8.
+    """
+    ranks = np.empty((len(mats), mats.shape[-1] - 1), dtype=int)
+    power = mats
+    for k in range(ranks.shape[1]):
+        if k:
+            power = power @ mats
+        proj = power @ np.swapaxes(power, 1, 2)
+        defect = proj @ proj
+        defect -= proj
+        trace = np.einsum("sii->s", proj)
+        rank = np.rint(trace)
+        isometry = (np.sqrt(np.einsum("sij,sij->s", defect, defect)) <= 1e-8) & (
+            np.abs(trace - rank) <= 1e-8)
+        ranks[:, k] = np.where(isometry, rank, -1)
+    return ranks
 
 
-# samples per batched sweep step: bounds the (chunk, n - 1, n, n) power stack
+# samples per batched sweep step: bounds each (chunk, n, n) power and projection
 _SWEEP_CHUNK = 2048
 
 
@@ -266,11 +289,13 @@ def max_nilpotent_dim(
     q J_lambda q^T (at sample i, lambda of index i mod p(n) and q a Haar
     rotation from the sample's n^2 normals) is nilpotent of the type
     lambda^T_k = r_{k-1} - r_k read from the ranks r_k of x^k (r_0 = n,
-    r_n = 0).  The sweep runs in chunks of up to ``_SWEEP_CHUNK`` samples
-    that continue one stream.  Margins over 20,000 rotated representatives
-    per n (seed 3): the zero singular values of x^k are at most
-    1.4e-15 sigma_max(x)^k and the others at least sigma_max(x)^k; those of
-    ad_x are at most 2.8e-15 and at least 0.129 times its largest.
+    r_n = 0), each r_k the trace of the projection x^k (x^k)^T (see
+    ``_power_ranks``).  The sweep runs in chunks of up to ``_SWEEP_CHUNK``
+    samples that continue one stream.  Margins over 20,000 rotated
+    representatives per n (seed 3): ||P^2 - P||_F is at most 5.2e-15 and
+    |tr P - rint(tr P)| at most 7.6e-15 on every power, against the 1e-8 a
+    read allows; the zero singular values of ad_x are at most 2.8e-15 and
+    the others at least 0.129 times its largest.
     """
     if not model.is_sl():
         return None
@@ -289,15 +314,19 @@ def max_nilpotent_dim(
         which = np.arange(start, min(start + _SWEEP_CHUNK, samples)) % len(parts)
         q = _special_orthogonal(rng.standard_normal((len(which), n, n)))
         mats = q @ reps[which] @ np.swapaxes(q, 1, 2)
-        read = -np.diff(_power_ranks(mats), axis=1, prepend=n, append=0)
+        ranks = _power_ranks(mats)
+        read = -np.diff(ranks, axis=1, prepend=n, append=0)
         nilpotent = is_nilpotent_matrix(mats)
         bad = ~nilpotent | np.any(read != types[which], axis=1)
         if np.any(bad):
             i = int(np.argmax(bad))
-            raise AssertionError(
-                f"sweep sample {start + i} of partition {parts[which[i]]}: nilpotent {nilpotent[i]}, "
-                f"lambda^T read as {read[i].tolist()}, orbit dimension {n * n - np.sum(read[i] ** 2)} "
-                f"against {dims[which[i]]}")
+            unread = (np.flatnonzero(ranks[i] < 0) + 1).tolist()
+            found = (f"lambda^T unread, orbit dimension unread against {dims[which[i]]}; "
+                     f"x^k is not a partial isometry for k in {unread}" if unread else
+                     f"lambda^T read as {read[i].tolist()}, orbit dimension "
+                     f"{n * n - np.sum(read[i] ** 2)} against {dims[which[i]]}")
+            raise AssertionError(f"sweep sample {start + i} of partition {parts[which[i]]}: "
+                                 f"nilpotent {nilpotent[i]}, {found}")
     return int(ad_dims[0])
 
 

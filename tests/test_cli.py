@@ -177,6 +177,16 @@ def test_orbit_dim_fails_on_a_sweep_of_zeros(monkeypatch, capsys):
         "[FAIL] maximal nilpotent orbit dimension: sweep sample 0 of partition ")
 
 
+def test_orbit_dim_fails_on_scaled_rotations(monkeypatch, capsys):
+    real = liealg._special_orthogonal
+    monkeypatch.setattr(liealg, "_special_orthogonal", lambda normals: 1.001 * real(normals))
+    assert run(["orbit-dim", "--model", "sl:3", "--sweep", "50"]) == 1
+    assert capsys.readouterr().out == (
+        "[FAIL] maximal nilpotent orbit dimension: sweep sample 0 of partition (3,): nilpotent "
+        "True, lambda^T unread, orbit dimension unread against 6; x^k is not a partial isometry "
+        "for k in [1, 2]\n")
+
+
 def test_suite_counts_a_failing_orbit_dim_sweep(monkeypatch, capsys):
     monkeypatch.setattr(liealg, "_special_orthogonal", lambda normals: np.zeros_like(normals))
     assert run(["suite", "scaling"]) == 1

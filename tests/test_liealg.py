@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -413,6 +414,56 @@ def test_power_rank_reader_off_by_one_on_one_sample_fails(n, monkeypatch):
             max_nilpotent_dim(model, np.random.default_rng(0), samples=3 * len(parts))
         planted += 1
     assert planted == {2: 3, 3: 9, 4: 22, 5: 41}[n]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sweep_of_scaled_rotations_fails(n, monkeypatch):
+    # each rotation 1.001 q, so x^k (x^k)^T is 1.001^(4k) times a projection;
+    # the SVD oracle reads every rank as for q J q^T, so only the projection
+    # test sees the fault
+    real = liealg._special_orthogonal
+    monkeypatch.setattr(liealg, "_special_orthogonal", lambda normals: 1.001 * real(normals))
+    with pytest.raises(AssertionError, match=rf"sweep sample 0 of partition \({n},\): nilpotent "
+                       rf"True, lambda\^T unread, orbit dimension unread against {n * (n - 1)}; "
+                       rf"x\^k is not a partial isometry for k in {re.escape(str(list(range(1, n))))}$"):
+        max_nilpotent_dim(build_model(f"sl:{n}"), np.random.default_rng(0), samples=50)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_power_ranks_refuse_powers_that_are_no_partial_isometry(n):
+    # J_lambda reads its ranks; 2 J_lambda reads -1 on every nonzero power
+    # and 0 on the zero ones, which are partial isometries; a rotated sample
+    # scaled by 1.001 reads -1 where the SVD oracle reads the J_lambda ranks
+    rng = np.random.default_rng(n)
+    for parts in _partitions_by_scan(n):
+        jordan = _jordan(parts)
+        ranks = [sum(max(p - k, 0) for p in parts) for k in range(1, n)]
+        refused = [-1 if r else 0 for r in ranks]
+        scaled = jordan[None] * np.array([1.0, 2.0])[:, None, None]
+        assert liealg._power_ranks(scaled).tolist() == [ranks, refused]
+        q = _one_rotation(rng.standard_normal((n, n)))
+        near = 1.001 * (q @ jordan @ q.T)
+        assert _sequential_power_ranks(near) == ranks
+        assert liealg._power_ranks(near[None])[0].tolist() == refused
+
+
+def test_power_ranks_peak_memory():
+    # one call on the largest sweep chunk of sl:5 holds at most six
+    # (S, n, n) stacks at once: it keeps one power, not the n - 1 of them
+    rng = np.random.default_rng(2)
+    parts = _partitions_by_scan(5)
+    jordans = np.stack([_jordan(parts[i % len(parts)]) for i in range(liealg._SWEEP_CHUNK)])
+    q = liealg._special_orthogonal(rng.standard_normal(jordans.shape))
+    mats = q @ jordans @ np.swapaxes(q, 1, 2)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ranks = liealg._power_ranks(mats)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert ranks.shape == (len(mats), 4) and ranks.min() >= 0
+    assert peak <= 6 * mats.nbytes
 
 
 def test_exp_density_fixtures(sl2):
