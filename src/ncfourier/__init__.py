@@ -54,11 +54,9 @@ from .multipliers import (
     translation_residual,
 )
 from .nclp import (
-    PolarPair,
     conjugate_exponent,
     lp_norm,
     plancherel_trace,
-    polar_parts,
 )
 from .restriction import (
     DeltaValue,

@@ -129,8 +129,6 @@ def cmd_norm(args) -> int:
     payload["group"] = group.label
     payload["statement"] = "multiplier norm lower bound by witness search"
     _write_json(args.out, payload)
-    if args.csv:
-        _write_csv(args.csv, ["group", "p", "norm"], [[group.label, args.p, repr(est.value)]])
     _report_line("norm estimate", True, f"value {est.value:.12g} (lower bound)")
     return 0
 
@@ -450,7 +448,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_norm)
 
     p = sub.add_parser("identity-check", help="verify multiplier factorization identities")

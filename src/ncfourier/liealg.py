@@ -190,18 +190,20 @@ def adjoint_norm(g: GroupMatrix) -> float:
     return float(np.linalg.svd(_adjoint_operator_matrix(g.model, g.mat), compute_uv=False)[0])
 
 
-def _special_orthogonal(normals: np.ndarray) -> np.ndarray:
+def _orthogonal(normals: np.ndarray) -> np.ndarray:
     """Q from the QR factorization of each (..., n, n) Gaussian matrix, with
-    the signs fixed by diag(R) > 0 (so Q is Haar on O(n)) and the first
-    column negated where det Q = -1."""
+    the signs fixed by diag(R) > 0, so Q is Haar on O(n)."""
     q, r = np.linalg.qr(normals)
-    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
-    q[..., :, 0] *= np.where(np.linalg.det(q) < 0, -1.0, 1.0)[..., None]
-    return q
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 
 def random_special_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    return _special_orthogonal(rng.standard_normal((n, n)))
+    """A Haar rotation: the Haar O(n) draw of n^2 normals, its first column
+    negated where det = -1."""
+    q = _orthogonal(rng.standard_normal((n, n)))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
 
 
 def is_nilpotent_matrix(mat: np.ndarray) -> bool | np.ndarray:
@@ -286,16 +288,17 @@ def max_nilpotent_dim(
     (Collingwood-McGovern, Nilpotent Orbits in Semisimple Lie Algebras, 1993,
     section 6.1).  A call raises AssertionError unless the rank of ad on every
     Jordan matrix J_lambda equals the formula and every sweep sample
-    q J_lambda q^T (at sample i, lambda of index i mod p(n) and q a Haar
-    rotation from the sample's n^2 normals) is nilpotent of the type
-    lambda^T_k = r_{k-1} - r_k read from the ranks r_k of x^k (r_0 = n,
-    r_n = 0), each r_k the trace of the projection x^k (x^k)^T (see
+    q J_lambda q^T (at sample i, lambda of index i mod p(n) and q the Haar
+    O(n) draw of the sample's n^2 normals; q^T = q^{-1}, so q J_lambda q^T
+    has J_lambda's Jordan type whatever the sign of det q) is nilpotent of
+    the type lambda^T_k = r_{k-1} - r_k read from the ranks r_k of x^k
+    (r_0 = n, r_n = 0), each r_k the trace of the projection x^k (x^k)^T (see
     ``_power_ranks``).  The sweep runs in chunks of up to ``_SWEEP_CHUNK``
-    samples that continue one stream.  Margins over 20,000 rotated
-    representatives per n (seed 3): ||P^2 - P||_F is at most 5.2e-15 and
-    |tr P - rint(tr P)| at most 7.6e-15 on every power, against the 1e-8 a
+    samples that continue one stream.  Margins over 20,000 sweep samples
+    per n (seed 3): ||P^2 - P||_F is at most 5.6e-15 and
+    |tr P - rint(tr P)| at most 8.0e-15 on every power, against the 1e-8 a
     read allows; the zero singular values of ad_x are at most 2.8e-15 and
-    the others at least 0.129 times its largest.
+    the others at least 0.126 times its largest.
     """
     if not model.is_sl():
         return None
@@ -312,7 +315,7 @@ def max_nilpotent_dim(
         raise AssertionError(f"partition {parts[i]}: rank of ad {ad_dims[i]}, formula {dims[i]}")
     for start in range(0, samples, _SWEEP_CHUNK):
         which = np.arange(start, min(start + _SWEEP_CHUNK, samples)) % len(parts)
-        q = _special_orthogonal(rng.standard_normal((len(which), n, n)))
+        q = _orthogonal(rng.standard_normal((len(which), n, n)))
         mats = q @ reps[which] @ np.swapaxes(q, 1, 2)
         ranks = _power_ranks(mats)
         read = -np.diff(ranks, axis=1, prepend=n, append=0)

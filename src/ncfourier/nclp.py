@@ -10,20 +10,20 @@ regular representation, computed on its irreducible blocks (Plancherel,
 return one value per row; ``lp_norm`` is the one-element case of the same
 code.  Blocks of size 1 and 2 are factorized in closed form (see ``_svd2``);
 only blocks of size >= 3 go to ``numpy.linalg.svd``.  ``matrix_lp_norm``
-stays for operators that are not algebra elements.  Exponents are plain
-floats in [1, inf] with math.inf as a first-class value; ``check_exponent``
-is the one place that validates them.
+stays for operators that are not algebra elements (the dense embedding and
+lattice maps of ``restriction``).  Exponents are plain floats in [1, inf]
+with math.inf as a first-class value; ``check_exponent`` is the one place
+that validates them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import AlgebraElement, FiniteGroup, GroupSubset, regular_matrix
+from .groups import AlgebraElement, FiniteGroup
 
 _SUBNORMAL = np.finfo(float).smallest_subnormal
 
@@ -34,8 +34,6 @@ __all__ = [
     "lp_norms",
     "lp_norm_gradient",
     "matrix_lp_norm",
-    "PolarPair",
-    "polar_parts",
 ]
 
 
@@ -235,43 +233,3 @@ def _mean_power(q: float, log_ratio: np.ndarray, t: np.ndarray) -> np.ndarray:
     of equal singular values (and of zero blocks) to that limit, no cutoff."""
     clamp = np.fmin if q > 2.0 else np.fmax
     return clamp(-np.expm1(-0.5 * q * log_ratio) / t, 0.5 * q)
-
-
-@dataclass(frozen=True, eq=False)
-class PolarPair:
-    """Polar data of k_V = |V|^{-1/2} lambda(1_V) for a symmetric subset V.
-
-    k_V is self-adjoint, so h and u commute, u is a self-adjoint partial
-    isometry and u^2 is the support projection of h.  The eigendecomposition
-    is kept so fractional powers h^(2/p) are cheap.
-    """
-
-    h: np.ndarray
-    u: np.ndarray
-    source: GroupSubset
-    eigvals: np.ndarray
-    eigvecs: np.ndarray
-
-    def h_power(self, exponent: float) -> np.ndarray:
-        """h^exponent via the stored eigendecomposition (0^0 := 0 on the kernel)."""
-        w = np.abs(self.eigvals)
-        powered = np.zeros_like(w)
-        nz = w > 1e-13 * max(w.max(initial=0.0), 1.0)
-        powered[nz] = w[nz] ** exponent
-        return (self.eigvecs * powered) @ self.eigvecs.conj().T
-
-
-def polar_parts(subset: GroupSubset) -> PolarPair:
-    """Polar decomposition of |V|^{-1/2} lambda(1_V); V must be symmetric, nonempty."""
-    if len(subset) == 0:
-        raise ValueError("subset is empty")
-    if not subset.is_symmetric():
-        raise ValueError("subset is not symmetric (V != V^{-1})")
-    k = regular_matrix(subset.indicator()) / math.sqrt(len(subset))
-    # symmetric V with real indicator makes k self-adjoint; eigh is exact here
-    w, q = np.linalg.eigh(k)
-    scale = max(float(np.max(np.abs(w))), 1.0)
-    sign = np.where(np.abs(w) > 1e-13 * scale, np.sign(w), 0.0)
-    h = (q * np.abs(w)) @ q.conj().T
-    u = (q * sign) @ q.conj().T
-    return PolarPair(h=h, u=u, source=subset, eigvals=w, eigvecs=q)

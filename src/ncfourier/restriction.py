@@ -1,12 +1,13 @@
 """Exact finite-scale checks of the restriction machinery.
 
-Everything here is exact set arithmetic plus Schatten norms, taken on
-irreducible blocks for algebra elements and on dense matrices for the
-embedding and lattice maps: the conjugation-survival fraction delta_F(V), the overlap Gram matrix and its
+Everything here is exact set arithmetic plus Schatten norms: the
+conjugation-survival fraction delta_F(V), the overlap Gram matrix and its
 lower bound by delta, the contraction and lower-bound inequalities for the
 embedding maps x -> x h_V^{2/p}, witness-transport restriction consistency,
 the quotient periodization intertwiner, and the fundamental-domain
-compression/sampling maps with their pairing convergence.
+compression/sampling maps with their pairing convergence.  Algebra elements
+are normed on irreducible blocks; the embedding and lattice maps are dense
+N x N matrices, normed by ``matrix_lp_norm``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .groups import (
     SubgroupEmbedding,
     _conjugation_mask,
     convolve,
+    involution,
     random_element,
     regular_matrix,
     same_group,
@@ -41,10 +43,10 @@ from .multipliers import (
 from .nclp import (
     exponent_tuple,
     lp_norm,
+    lp_norm_gradient,
     matrix_lp_norm,
     output_exponent,
     plancherel_trace,
-    polar_parts,
 )
 
 __all__ = [
@@ -158,6 +160,21 @@ def _require_disjoint(products: np.ndarray, labels: np.ndarray, what: str) -> No
         )
 
 
+def _h_power(V: GroupSubset, exponent: float) -> np.ndarray:
+    """h_V^exponent, h_V = |k_V| for k_V = |V|^{-1/2} lambda(1_V), self-adjoint
+    when V is symmetric: k_V's eigenvectors times |w|^exponent, each |w| at
+    most 1e-13 max(|w|_max, 1) read as 0 (0^0 := 0 on the kernel)."""
+    if len(V) == 0:
+        raise ValueError("subset is empty")
+    k = regular_matrix(V.indicator()) / math.sqrt(len(V))
+    w, q = np.linalg.eigh(k)
+    w = np.abs(w)
+    powered = np.zeros_like(w)
+    nz = w > 1e-13 * max(w.max(initial=0.0), 1.0)
+    powered[nz] = w[nz] ** exponent
+    return (q * powered) @ q.conj().T
+
+
 def _embedded_norm(
     emb: SubgroupEmbedding, x: AlgebraElement, V: GroupSubset, p: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -179,7 +196,7 @@ def _embedded_norm(
     _require_disjoint(sv, supp, "disjointness condition (1) sV, s in supp(x) fails")
     amb_mat = regular_matrix(x_amb)
     if not math.isinf(p):
-        amb_mat = amb_mat @ polar_parts(V).h_power(2.0 / p)
+        amb_mat = amb_mat @ _h_power(V, 2.0 / p)
     return matrix_lp_norm(amb_mat, p, trace_dim=emb.amb.order), supp, sv
 
 
@@ -214,19 +231,23 @@ def embedding_contraction_residual(
 
 def holder_witness(x: AlgebraElement, p: float) -> AlgebraElement:
     """y = |x|^{p/q} with 1/q = 1/2 - 1/p, the sharp Holder witness for
-    ||x||_p = ||x y||_2 / ||y||_q, computed in the subgroup algebra; needs
-    2 < p < infinity, where q is finite and positive."""
+    ||x||_p = ||x y||_2 / ||y||_q, computed in the subgroup algebra on its
+    irreducible blocks; needs 2 < p < infinity, where q is finite and
+    positive.
+
+    p/q = p/2 - 1.  f = x* x has the blocks X^H X = |X|^2, X each block of
+    x.  They are positive semidefinite, so on each of them the singular value
+    decomposition is the eigendecomposition U sigma U^H, and
+    J_r(f) = U sigma^(r-1) U^H = |X|^{2(r-1)}.  With r = p/4 + 1/2, which
+    lies in (1, inf) for 2 < p < inf, 2(r - 1) = p/2 - 1, so y = J_r(f) =
+    ||f||_r^(r-1) z for the norming element z of f that
+    ``lp_norm_gradient`` returns with ||f||_r (y = 0 at x = 0).
+    """
     if not (2.0 < p < math.inf):
         raise ValueError("Holder witness needs 2 < p < infinity")
-    q = 1.0 / (0.5 - 1.0 / p)
-    mat = regular_matrix(x)
-    w, u = np.linalg.eigh(mat.conj().T @ mat)
-    w = np.clip(w, 0.0, None)
-    powered = (u * np.sqrt(w) ** (p / q)) @ u.conj().T
-    # |x|^{p/q} is a function of x* x, hence again an algebra element whose
-    # coefficients sit in the identity column of the regular picture
-    group = x.parent
-    return AlgebraElement(group, powered[:, group.identity].copy())
+    r = 0.25 * p + 0.5
+    norm, z = lp_norm_gradient(x.parent, convolve(involution(x), x).coeffs, r)
+    return AlgebraElement(x.parent, norm ** (r - 1.0) * z)
 
 
 def embedding_lower_residual(

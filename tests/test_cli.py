@@ -171,15 +171,15 @@ def test_orbit_dim_and_density_and_count(tmp_path, capsys):
 
 
 def test_orbit_dim_fails_on_a_sweep_of_zeros(monkeypatch, capsys):
-    monkeypatch.setattr(liealg, "_special_orthogonal", lambda normals: np.zeros_like(normals))
+    monkeypatch.setattr(liealg, "_orthogonal", lambda normals: np.zeros_like(normals))
     assert run(["orbit-dim", "--model", "sl:3", "--sweep", "50"]) == 1
     assert capsys.readouterr().out.startswith(
         "[FAIL] maximal nilpotent orbit dimension: sweep sample 0 of partition ")
 
 
 def test_orbit_dim_fails_on_scaled_rotations(monkeypatch, capsys):
-    real = liealg._special_orthogonal
-    monkeypatch.setattr(liealg, "_special_orthogonal", lambda normals: 1.001 * real(normals))
+    real = liealg._orthogonal
+    monkeypatch.setattr(liealg, "_orthogonal", lambda normals: 1.001 * real(normals))
     assert run(["orbit-dim", "--model", "sl:3", "--sweep", "50"]) == 1
     assert capsys.readouterr().out == (
         "[FAIL] maximal nilpotent orbit dimension: sweep sample 0 of partition (3,): nilpotent "
@@ -188,7 +188,7 @@ def test_orbit_dim_fails_on_scaled_rotations(monkeypatch, capsys):
 
 
 def test_suite_counts_a_failing_orbit_dim_sweep(monkeypatch, capsys):
-    monkeypatch.setattr(liealg, "_special_orthogonal", lambda normals: np.zeros_like(normals))
+    monkeypatch.setattr(liealg, "_orthogonal", lambda normals: np.zeros_like(normals))
     assert run(["suite", "scaling"]) == 1
     out = capsys.readouterr().out
     assert "[FAIL] maximal nilpotent orbit dimension: sweep sample 0 of partition " in out

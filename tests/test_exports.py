@@ -63,3 +63,23 @@ def test_runtime_dependencies_are_the_imported_packages():
     imported = _third_party_imports(ROOT / "src" / "ncfourier")
     assert imported == names, (
         f"undeclared: {sorted(imported - names)}, declared but unused: {sorted(names - imported)}")
+
+
+# the modules that still form N x N regular matrices; the spectral layer
+# computes every other Schatten norm on irreducible blocks
+DENSE_MODULES = {"restriction.py", "transference.py"}
+
+
+def test_only_the_dense_paths_use_regular_matrix():
+    # groups.py defines it and the package re-exports it; any other module
+    # that imports the name or reads it as an attribute is a dense path
+    users = set()
+    for path in (ROOT / "src" / "ncfourier").glob("*.py"):
+        if path.name in ("groups.py", "__init__.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            named = (isinstance(node, ast.alias) and node.name == "regular_matrix") or (
+                isinstance(node, ast.Attribute) and node.attr == "regular_matrix")
+            if named:
+                users.add(path.name)
+    assert users == DENSE_MODULES

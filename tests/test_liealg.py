@@ -225,11 +225,11 @@ def _formula_dim(parts):
 
 def _rotated_jordan(model, rng, count):
     """Sample i: J_lambda for the partition of index i mod p(n), conjugated by
-    the rotation of its own n^2 normals, one sample at a time."""
+    the Haar O(n) draw of its own n^2 normals, one sample at a time."""
     parts = _partitions_by_scan(model.n)
     out = []
     for i in range(count):
-        q = _one_rotation(rng.standard_normal((model.n, model.n)))
+        q = _one_orthogonal(rng.standard_normal((model.n, model.n)))
         out.append((parts[i % len(parts)], q @ _jordan(parts[i % len(parts)]) @ q.T))
     return out
 
@@ -305,27 +305,38 @@ def test_batched_sweep_matches_sequential_oracle(n, monkeypatch):
             assert int(np.sum(sigma > 1e-8 * sigma[0])) == _formula_dim(parts)
 
 
-def _one_rotation(normals):
-    """The Haar rotation of one Gaussian matrix, one matrix at a time: the QR
-    factor with diag(R) > 0, its first column negated if det = -1."""
+def _one_orthogonal(normals):
+    """The Haar O(n) draw of one Gaussian matrix: the QR factor with
+    diag(R) > 0."""
     q, r = np.linalg.qr(normals)
-    q = q * np.sign(np.diag(r))
+    return q * np.sign(np.diag(r))
+
+
+def _one_rotation(normals):
+    """The Haar rotation of one Gaussian matrix: its O(n) draw, the first
+    column negated if det = -1."""
+    q = _one_orthogonal(normals)
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     return q
 
 
-def test_special_orthogonal_stack_matches_one_at_a_time():
+def test_orthogonal_stack_matches_one_at_a_time():
     rng = np.random.default_rng(11)
     for n in (2, 3, 5):
         normals = rng.standard_normal((50, n, n))
-        stacked = liealg._special_orthogonal(normals)
+        stacked = liealg._orthogonal(normals)
+        dets = np.linalg.det(stacked)
         for q, a in zip(stacked, normals):
-            assert np.abs(q - _one_rotation(a)).max() <= 1e-14
-            assert np.linalg.det(q) == pytest.approx(1.0, abs=1e-12)
-        # one matrix is the old draw of random_special_orthogonal, bit for bit
+            assert np.abs(q - _one_orthogonal(a)).max() <= 1e-14
+            assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-14
+        assert np.abs(np.abs(dets) - 1.0).max() <= 1e-12
+        # both signs of det occur: the sweep draws from O(n), not SO(n)
+        assert dets.min() < 0 < dets.max()
+        # a rotation is the old draw of random_special_orthogonal, bit for bit
         got = random_special_orthogonal(n, np.random.default_rng(n))
         assert np.array_equal(got, _one_rotation(np.random.default_rng(n).standard_normal((n, n))))
+        assert np.linalg.det(got) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sweep_chunks_draw_one_stream(monkeypatch):
@@ -368,7 +379,7 @@ def test_sweep_rejects_a_larger_orbit(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_sweep_of_zeros_fails(n, monkeypatch):
     # every rotation 0, so every sweep sample is the zero matrix
-    monkeypatch.setattr(liealg, "_special_orthogonal", lambda normals: np.zeros_like(normals))
+    monkeypatch.setattr(liealg, "_orthogonal", lambda normals: np.zeros_like(normals))
     with pytest.raises(AssertionError, match=rf"sweep sample 0 of partition \({n},\): .* "
                        rf"orbit dimension 0 against {n * (n - 1)}"):
         max_nilpotent_dim(build_model(f"sl:{n}"), np.random.default_rng(0), samples=50)
@@ -421,8 +432,8 @@ def test_sweep_of_scaled_rotations_fails(n, monkeypatch):
     # each rotation 1.001 q, so x^k (x^k)^T is 1.001^(4k) times a projection;
     # the SVD oracle reads every rank as for q J q^T, so only the projection
     # test sees the fault
-    real = liealg._special_orthogonal
-    monkeypatch.setattr(liealg, "_special_orthogonal", lambda normals: 1.001 * real(normals))
+    real = liealg._orthogonal
+    monkeypatch.setattr(liealg, "_orthogonal", lambda normals: 1.001 * real(normals))
     with pytest.raises(AssertionError, match=rf"sweep sample 0 of partition \({n},\): nilpotent "
                        rf"True, lambda\^T unread, orbit dimension unread against {n * (n - 1)}; "
                        rf"x\^k is not a partial isometry for k in {re.escape(str(list(range(1, n))))}$"):
@@ -453,7 +464,7 @@ def test_power_ranks_peak_memory():
     rng = np.random.default_rng(2)
     parts = _partitions_by_scan(5)
     jordans = np.stack([_jordan(parts[i % len(parts)]) for i in range(liealg._SWEEP_CHUNK)])
-    q = liealg._special_orthogonal(rng.standard_normal(jordans.shape))
+    q = liealg._orthogonal(rng.standard_normal(jordans.shape))
     mats = q @ jordans @ np.swapaxes(q, 1, 2)
     tracemalloc.start()
     try:

@@ -3,15 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from ncfourier.groups import AlgebraElement, build_group, convolve, involution, random_element
+from ncfourier.groups import (
+    AlgebraElement,
+    build_embedding,
+    build_group,
+    convolve,
+    involution,
+    random_element,
+    regular_matrix,
+)
 from ncfourier.nclp import (
     conjugate_exponent,
     lp_norm,
     matrix_lp_norm,
     output_exponent,
     plancherel_trace,
-    polar_parts,
 )
+from ncfourier.restriction import PreconditionError, _h_power, embedding_contraction_residual
 
 
 def test_output_exponent():
@@ -37,8 +45,6 @@ def test_trace_fixtures():
     assert plancherel_trace(g.delta_element(0)) == 1.0
     assert plancherel_trace(g.delta_element(2)) == 0.0
     f = random_element(g, np.random.default_rng(0))
-    from ncfourier.groups import regular_matrix
-
     assert plancherel_trace(f) == pytest.approx(
         np.trace(regular_matrix(f)) / g.order, abs=1e-12
     )
@@ -87,8 +93,6 @@ def test_dual_pairing_fixtures():
 def test_dual_pairing_trace_oracle_and_holder():
     g = build_group("dihedral:3")
     rng = np.random.default_rng(3)
-    from ncfourier.groups import regular_matrix
-
     for p in (1.5, 2.0, 4.0):
         q = conjugate_exponent(p)
         phi, f = random_element(g, rng), random_element(g, rng)
@@ -99,43 +103,49 @@ def test_dual_pairing_trace_oracle_and_holder():
         assert abs(lhs) <= lp_norm(phi_check, q) * lp_norm(f, p) + 1e-10
 
 
+# h_V = |k_V|, the modulus of k_V = |V|^{-1/2} lambda(1_V), whose powers the
+# embedding maps x -> x h_V^{2/p} of the restriction checks multiply by
+
+
 def test_polar_fixtures_identity_and_full_group():
     g = build_group("cyclic:2")
-    pp = polar_parts(g.subset([0]))
-    assert np.allclose(pp.h, np.eye(2))
-    assert np.allclose(pp.u, np.eye(2))
-    full = polar_parts(g.subset([0, 1]))
-    eigs = np.sort(np.abs(full.eigvals))
-    assert eigs == pytest.approx([0.0, math.sqrt(2.0)], abs=1e-12)
+    for a in (1.0, 2.0 / 3.0, 0.5):
+        assert np.array_equal(_h_power(g.subset([0]), a), np.eye(2))
+    # k = [[1, 1], [1, 1]] / sqrt(2) has eigenvalues sqrt(2) and 0: h = k, and
+    # h^0 is the projection onto the constants, 0^0 = 0 on the kernel
+    full = g.subset([0, 1])
+    k = np.full((2, 2), 1.0 / math.sqrt(2.0))
+    assert np.max(np.abs(_h_power(full, 1.0) - k)) < 1e-12
+    assert np.max(np.abs(_h_power(full, 0.0) - np.full((2, 2), 0.5))) < 1e-12
 
 
 def test_polar_reproduces_k_and_structure():
     g = build_group("dihedral:6")
     V = g.subset([0, 1, 5])  # {e, r, r^{-1}} is symmetric
-    pp = polar_parts(V)
-    from ncfourier.groups import regular_matrix
-
     k = regular_matrix(V.indicator()) / math.sqrt(3)
-    assert np.max(np.abs(pp.u @ pp.h - k)) < 1e-10
-    assert np.max(np.abs(pp.u @ pp.h - pp.h @ pp.u)) < 1e-10
-    support = pp.u @ pp.u
-    assert np.max(np.abs(support @ pp.h - pp.h)) < 1e-10
-    assert np.min(np.linalg.eigvalsh(pp.h)) > -1e-12
+    h = _h_power(V, 1.0)
+    assert np.max(np.abs(h @ h - k @ k)) < 1e-10
+    assert np.max(np.abs(h - h.conj().T)) < 1e-12
+    assert np.min(np.linalg.eigvalsh(h)) > -1e-12
+    assert np.max(np.abs(h @ k - k @ h)) < 1e-10
+    for a, b in ((2.0 / 3.0, 0.5), (0.5, 0.5), (1.0, 2.0 / 3.0)):
+        assert np.max(np.abs(_h_power(V, a) @ _h_power(V, b) - _h_power(V, a + b))) < 1e-10
 
 
 def test_polar_requires_symmetric_nonempty():
     g = build_group("cyclic:4")
-    with pytest.raises(ValueError):
-        polar_parts(g.subset([1]))  # {1} is not symmetric in Z_4
-    with pytest.raises(ValueError):
-        polar_parts(g.subset([]))
+    with pytest.raises(ValueError, match="subset is empty"):
+        _h_power(g.subset([]), 1.0)
+    # the embedding maps refuse a V that is not symmetric before any power
+    emb = build_embedding("cyclic-in-cyclic:2,4")
+    x = emb.sub.delta_element(0)
+    with pytest.raises(PreconditionError, match="V is not symmetric"):
+        embedding_contraction_residual(emb, x, emb.amb.subset([1]), 2.0)  # {1} != {3}
 
 
 def test_holder_sharpness_selfadjoint():
     g = build_group("dihedral:3")
     rng = np.random.default_rng(5)
-    from ncfourier.groups import regular_matrix
-
     for p, q in [(3.0, 6.0), (4.0, 4.0), (5.0, 3.0)]:
         r = 1.0 / (1.0 / p + 1.0 / q)
         f = random_element(g, rng)

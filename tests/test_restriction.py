@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,7 +12,9 @@ from ncfourier.groups import (
     build_group,
     complex_normal,
     conjugate_set,
+    convolve,
     random_element,
+    regular_matrix,
 )
 from ncfourier.multipliers import OptimizerConfig, Symbol, symbol_from_spec
 from ncfourier.nclp import lp_norm
@@ -149,6 +152,29 @@ def test_contraction_fails_a_broken_p2_equality(monkeypatch):
     assert embedding_contraction_residual(emb, x, V, 3.0).passed
 
 
+def test_contraction_fails_a_wrong_power_of_h(monkeypatch):
+    # h_V^{1.1 * 2/p} in place of h_V^{2/p}: at p = 2 the embedded norm moves
+    # off the subgroup one, which only the p = 2 equality sees
+    emb = build_embedding("cyclic-in-cyclic:64,512")
+    V = emb.amb.subset([511, 0, 1])
+    coeffs = np.zeros(emb.sub.order, dtype=complex)
+    coeffs[[0, 1, 5]] = [1.0, 0.5j, 0.3]
+    x = AlgebraElement(emb.sub, coeffs)
+    assert embedding_contraction_residual(emb, x, V, 2.0).passed
+    h_power = restriction._h_power
+    seen = []
+
+    def wrong(V, exponent):
+        seen.append(exponent)
+        return h_power(V, 1.1 * exponent)
+
+    monkeypatch.setattr(restriction, "_h_power", wrong)
+    rep = embedding_contraction_residual(emb, x, V, 2.0)
+    assert seen == [1.0]
+    assert rep.context["equality_gap"] > 0.01
+    assert not rep.passed
+
+
 def test_contraction_dihedral_fixture_p4():
     # V = {e} plus the inverse-pair of a reflection (which collapses to {e, s});
     # its rotation translates tile D_6, so any x on the rotations is admissible
@@ -188,15 +214,27 @@ def test_contraction_disjointness_precondition():
         embedding_contraction_residual(emb, x, V, 2.0)
 
 
-def test_holder_witness_is_sharp():
-    g = build_group("cyclic:8")
-    rng = np.random.default_rng(9)
-    from ncfourier.groups import convolve
+def _dense_holder_witness(x, p):
+    """|x|^{p/q} from an eigendecomposition of lambda(x)* lambda(x) on the
+    regular representation, read off its identity column."""
+    q = 1.0 / (0.5 - 1.0 / p)
+    mat = regular_matrix(x)
+    w, u = np.linalg.eigh(mat.conj().T @ mat)
+    powered = (u * np.sqrt(np.clip(w, 0.0, None)) ** (p / q)) @ u.conj().T
+    return powered[:, x.parent.identity]
 
-    for p in (3.0, 4.0, 6.0):
+
+def test_holder_witness_is_sharp():
+    # dihedral:6, heisenberg:3 and the product have blocks of size 2
+    rng = np.random.default_rng(9)
+    specs = ["cyclic:8", "dihedral:6", "heisenberg:3", "product:cyclic:2,dihedral:3"]
+    for spec, p in itertools.product(specs, (3.0, 4.0, 6.0, 10.0)):
+        g = build_group(spec)
         q = 1.0 / (0.5 - 1.0 / p)
         x = random_element(g, rng)
         y = holder_witness(x, p)
+        dense = _dense_holder_witness(x, p)
+        assert np.abs(y.coeffs - dense).max() <= 1e-12 * np.abs(dense).max()
         assert lp_norm(convolve(x, y), 2.0) / lp_norm(y, q) == pytest.approx(
             lp_norm(x, p), abs=1e-10
         )
